@@ -16,6 +16,7 @@ from .star_algebra import (
     Coefficient, GeneratorId, Monomial, NCPolynomial, RelationSystem,
     MissingCalculus, NonConfluent, NonTerminating, StarAlgebraError,
     UnknownGenerator, adjoint, differential, multiply, normal_form,
+    reduce_modulo,
 )
 from .hopf_twist import (
     ClassicalModel, MissingCoaction, ModelMismatch, MoyalModel, ToricModel,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hopf_twist import TwistModel
-from .monad import ADHMData, ShapeError, adhm_residual, _dag
+from .monad import ADHMData, ShapeError, _dag, adhm_equations, adhm_residual
 
 
 class NoConvergence(Exception):
@@ -77,12 +77,7 @@ def _herm_components(h):
 
 
 def residual_vector(data: ADHMData) -> np.ndarray:
-    mu = data.model.mu
-    B1, B2, I, J = data.B1, data.B2, data.I, data.J
-    ceq = np.conj(mu) * B1 @ B2 - mu * B2 @ B1 + I @ J
-    herm = (B1 @ _dag(B1) - _dag(B1) @ B1 + B2 @ _dag(B2) - _dag(B2) @ B2
-            + I @ _dag(I) - _dag(J) @ J
-            - data.model.zeta_level * np.eye(data.k))
+    ceq, herm = adhm_equations(data)
     return np.concatenate([ceq.real.ravel(), ceq.imag.ravel(),
                            np.array(_herm_components(herm))])
 

@@ -52,6 +52,14 @@ def _model_from_args(args) -> object:
     raise ModelMismatch(f"unknown model {name!r}")
 
 
+def _positive_int(text) -> int:
+    """argparse type for counts and sizes that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_model_flags(p):
     p.add_argument("--model", required=True,
                    choices=["classical", "moyal", "toric"])
@@ -183,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("relations", help="emit a derived relation system")
     _add_model_flags(p)
     p.add_argument("--space", choices=["C4", "R4", "MonadM"], default="C4")
-    p.add_argument("--k", type=int, default=1,
+    p.add_argument("--k", type=_positive_int, default=1,
                    help="index for the MonadM generator family")
     p.add_argument("--no-calculus", action="store_true")
     p.add_argument("--out")
@@ -195,10 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve the deformed ADHM equations")
     _add_model_flags(p)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--zeta", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--multistarts", type=int, default=8)
+    p.add_argument("--multistarts", type=_positive_int, default=8)
     p.add_argument("--tolerance", type=float, default=1e-12)
     p.add_argument("--max-iterations", type=int, default=200)
     p.add_argument("--out")
@@ -214,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("instanton", help="projector and curvature samples")
     p.add_argument("--data", required=True)
-    p.add_argument("--points", type=int, default=20)
+    p.add_argument("--points", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--check-asd", action="store_true")
     p.add_argument("--out")
@@ -222,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("charge", help="topological charge by quadrature")
     p.add_argument("--data", required=True)
-    p.add_argument("--resolution", type=int, default=12)
+    p.add_argument("--resolution", type=_positive_int, default=12)
     p.add_argument("--out")
     p.set_defaults(func=cmd_charge)
 

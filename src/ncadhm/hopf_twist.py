@@ -26,7 +26,7 @@ from .star_algebra import (
     C4, HOPF_TORUS, HOPF_TRANS, MONAD_M, R4,
     Coefficient, GeneratorId, NCPolynomial, NonConfluent, RelationSystem,
     StarAlgebraError, associativity_residual, classical_normal_form_word,
-    deglex_key, star_closure_residual,
+    deglex_key, leading_term, star_closure_residual,
 )
 
 
@@ -631,8 +631,7 @@ def express_in_deformed_basis(model: TwistModel, x: NCPolynomial):
         guard += 1
         if guard > 10000:
             raise NonConfluent("deformed-basis expansion did not terminate")
-        (w, h, m), v = max(x.terms.items(),
-                           key=lambda kv: (deglex_key(kv[0][0]), kv[0][1], kv[0][2]))
+        (w, h, m), v = leading_term(x)
         q = _twist_eval_word(model, w)
         qkeys = [k for k in q.terms if k[0] == w]
         if len(qkeys) != 1 or qkeys[0][1] != 0:
@@ -683,6 +682,21 @@ def _derived_rule(model, g, h):
     return tuple(express_in_deformed_basis(model, x))
 
 
+def _pair_rules(model, gens):
+    """Derived rules of every pair in ``gens`` that is not a default
+    transposition, keyed by the (later, earlier) letter pair."""
+    gens = sorted(gens, key=lambda g: g.sort_key)
+    rules = {}
+    for i, g in enumerate(gens):
+        for h in gens[:i + 1]:
+            if g == h and g.grade == 0:
+                continue
+            rhs = _derived_rule(model, g, h)
+            if not _is_default_rule(g, h, rhs):
+                rules[(g, h)] = rhs
+    return rules
+
+
 def derive_relations(model: TwistModel, space, k=1, calculus=True,
                      validate=True) -> RelationSystem:
     """Derive the rewrite system of one twisted algebra from the cocycle.
@@ -692,19 +706,10 @@ def derive_relations(model: TwistModel, space, k=1, calculus=True,
     differ from the default graded transposition are stored.
     """
     spaces = (space,) if isinstance(space, str) else tuple(space)
-    gens = []
+    gens = set()
     for s in spaces:
-        gens.extend(model.generators(s, k=k, calculus=calculus))
-    gens = sorted(set(gens), key=lambda g: g.sort_key)
-    rules = {}
-    for i, g in enumerate(gens):
-        for h in gens[:i + 1]:
-            if g == h and g.grade == 0:
-                continue
-            rhs = _derived_rule(model, g, h)
-            if not _is_default_rule(g, h, rhs):
-                rules[(g, h)] = rhs
-    rel = RelationSystem(gens, rules, theta=model.theta,
+        gens.update(model.generators(s, k=k, calculus=calculus))
+    rel = RelationSystem(gens, _pair_rules(model, gens), theta=model.theta,
                          meta={"model": model.kind, "space": "+".join(spaces)})
     if validate:
         _validate(rel)
@@ -736,20 +741,8 @@ def smash_relations(model: TwistModel, space=MONAD_M, k=1,
     mon = list(model.generators(MONAD_M, k=k)) if include_monad else []
     coords = list(model.generators(C4, calculus=False)) if include_coordinates else []
     gens = mon + coords + hopf
-    rules = {}
-
-    def algebra_rules(family):
-        fam = sorted(family, key=lambda g: g.sort_key)
-        for i, g in enumerate(fam):
-            for h in fam[:i + 1]:
-                if g == h and g.grade == 0:
-                    continue
-                rhs = _derived_rule(model, g, h)
-                if not _is_default_rule(g, h, rhs):
-                    rules[(g, h)] = rhs
-
-    algebra_rules(mon)
-    algebra_rules(coords)
+    rules = _pair_rules(model, mon)
+    rules.update(_pair_rules(model, coords))
 
     # Torus letters contract against their inverses; everything else commutes.
     for a in hopf:

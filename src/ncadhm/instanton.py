@@ -21,19 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._report import Check, Report
-from .hopf_twist import TwistModel, smash_relations
+from .hopf_twist import ModelMismatch, TwistModel, smash_relations
 from .monad import (
-    ADHMData, MonadMatrices, PolyMatrix, ShapeError,
+    ADHMData, MonadMatrices, PolyMatrix, ShapeError, _dag,
     bosonise_j_map, bosonise_monad, build_monad, monad_m,
 )
 from .star_algebra import (
-    AUX, MONAD_M, Coefficient, GeneratorId, NCPolynomial, StarAlgebraError,
-    adjoint, deglex_key, multiply, normal_form,
+    AUX, MONAD_M, GeneratorId, NCPolynomial, RelationSystem, adjoint,
+    multiply, normal_form, reduce_modulo,
 )
-
-
-class ModelMismatch(StarAlgebraError):
-    pass
 
 
 class SingularRho(Exception):
@@ -72,10 +68,6 @@ class ConnectionSample:
 def _require_classical(data: ADHMData):
     if data.model.kind != "classical":
         raise ModelMismatch("numeric evaluation needs the classical model")
-
-
-def _dag(a):
-    return np.conj(np.swapaxes(a, -1, -2))
 
 
 def monad_pair_at(m: MonadMatrices, z1, z2):
@@ -274,11 +266,6 @@ def _density(m: MonadMatrices, z1, z2):
     return -np.real(t) / (4 * np.pi ** 2)
 
 
-def charge_density(data: ADHMData, z1, z2):
-    """(1 / 8 pi^2) tr F wedge F contracted against the volume form."""
-    return _density(build_monad(data), z1, z2)
-
-
 def charge(data: ADHMData, quad: QuadratureSpec | None = None,
            center=(0.0, 0.0)) -> float:
     """Quadrature of the charge density over the plane.
@@ -333,66 +320,6 @@ def _charge_scale(data: ADHMData) -> float:
 # -- deformed symbolic pipeline ----------------------------------------------------
 
 RHO2_INV = GeneratorId(AUX, 1)
-
-
-def _reduce_by_inverse(p: NCPolynomial, rho2: NCPolynomial, rel,
-                       max_steps=20000) -> NCPolynomial:
-    """Reduce modulo the two-sided relation inv(rho2) * rho2 = 1.
-
-    Standard leading-monomial division: the inverse letter is central, so
-    any term containing it together with the leading word of rho2 (as a
-    sub-multiset) is rewritten by subtracting a multiple of the ideal
-    element (inv(rho2) rho2 - 1) * cofactor.
-    """
-    p = normal_form(p, rel)
-    lead_key = max(rho2.terms, key=lambda kv: (deglex_key(kv[0]), kv[1], kv[2]))
-    lw, lh, _ = lead_key
-    if lh != 0:
-        raise StarAlgebraError("rho2 leading coefficient is not invertible")
-    steps = 0
-    while True:
-        target = None
-        for (w, h, m), v in sorted(p.terms.items(), reverse=True,
-                                   key=lambda kv: deglex_key(kv[0][0])):
-            if RHO2_INV not in w:
-                continue
-            rest = list(w)
-            rest.remove(RHO2_INV)
-            pos = _submultiset(tuple(rest), lw)
-            if pos is not None:
-                cof = tuple(x for i, x in enumerate(rest) if i not in pos)
-                target = (w, h, m, v, cof)
-                break
-        if target is None:
-            return p
-        steps += 1
-        if steps > max_steps:
-            raise StarAlgebraError("inverse reduction stalled")
-        w, h, m, v, cof = target
-        prod = multiply(NCPolynomial.from_word((RHO2_INV,)),
-                        multiply(rho2, NCPolynomial.from_word(cof), rel), rel)
-        hit = [(ph, pm, pv) for (pw, ph, pm), pv in prod.terms.items()
-               if pw == w]
-        if not hit:
-            raise StarAlgebraError("inverse reduction lost its leading term")
-        ph, pm, pv = hit[0]
-        cc = Coefficient(v / pv, h - ph, m - pm)
-        p = p - prod.scale_coeff(cc) \
-            + NCPolynomial.from_word(cof).scale_coeff(cc)
-        p = normal_form(p, rel)
-
-
-def _submultiset(word, sub):
-    pos = []
-    i = 0
-    for s in sub:
-        while i < len(word) and word[i] != s:
-            i += 1
-        if i == len(word):
-            return None
-        pos.append(i)
-        i += 1
-    return set(pos)
 
 
 def symbolic_projector_checks(data: ADHMData, model: TwistModel | None = None,
@@ -496,7 +423,6 @@ def _projector_idempotency_residual(sigma, sigma_j, rho2_mat, rel, theta):
     """
     rho2 = rho2_mat.entries[0][0]
     gens = list(rel.generators) + [RHO2_INV]
-    from .star_algebra import RelationSystem
     rel2 = RelationSystem(gens, dict(rel.rules), theta=rel.theta,
                           meta=rel.meta)
     rinv = NCPolynomial.from_word((RHO2_INV,))
@@ -555,7 +481,8 @@ def _projector_idempotency_residual(sigma, sigma_j, rho2_mat, rel, theta):
             struct = max(struct, max((abs(v) for v in q.terms.values()),
                                      default=0.0))
 
-    x_red = _reduce_by_inverse(X, rho2, rel2)
+    x_red = reduce_modulo(X, rel2, [multiply(rinv, rho2, rel2)
+                                    - NCPolynomial.one()])
     res = max(struct, sandwich.eval_max_norm(theta),
               x_red.eval_norm(theta))
     return res

@@ -127,19 +127,26 @@ class ADHMData:
                         mat(obj["I"]), mat(obj["J"]))
 
 
-def adhm_residual(data: ADHMData):
-    """Frobenius norms of the complex and the Hermitian equation defects."""
+def adhm_equations(data: ADHMData):
+    """The complex and the Hermitian equation matrices; zero on solutions."""
     mu = data.model.mu
     B1, B2, I, J = data.B1, data.B2, data.I, data.J
     complex_eq = np.conj(mu) * B1 @ B2 - mu * B2 @ B1 + I @ J
     herm = (B1 @ _dag(B1) - _dag(B1) @ B1 + B2 @ _dag(B2) - _dag(B2) @ B2
             + I @ _dag(I) - _dag(J) @ J
             - data.model.zeta_level * np.eye(data.k))
+    return complex_eq, herm
+
+
+def adhm_residual(data: ADHMData):
+    """Frobenius norms of the complex and the Hermitian equation defects."""
+    complex_eq, herm = adhm_equations(data)
     return float(np.linalg.norm(complex_eq)), float(np.linalg.norm(herm))
 
 
 def _dag(a):
-    return np.conj(a.T)
+    """Conjugate transpose of the last two axes (single or batched)."""
+    return a.swapaxes(-1, -2).conj()
 
 
 # -- monad matrices ------------------------------------------------------------
@@ -335,10 +342,6 @@ def monad_residual(m: MonadMatrices, model: TwistModel) -> PolyMatrix:
     sigma, tau, rel = bosonise_monad(m, model)
     comp = tau.matmul(sigma, rel)
     return comp.map(lambda p: normal_form(p, rel))
-
-
-def monad_residual_norm(m: MonadMatrices, model: TwistModel) -> float:
-    return monad_residual(m, model).eval_max_norm(model.theta)
 
 
 # -- tilde subalgebra -----------------------------------------------------------

@@ -13,8 +13,9 @@ involution sends hbar to -hbar, and numeric evaluation substitutes
 Heisenberg-type relation systems are star-closed and the real solver
 equations and the symbolic monad identities agree; see the repository notes.
 
-A :class:`RelationSystem` holds rewrite rules (patterns of two or three
-adjacent letters) that bring words to normal order.
+A :class:`RelationSystem` holds rewrite rules on pairs of adjacent letters
+that bring words to normal order; :func:`reduce_modulo` further divides by
+side relations (sphere equations, formal inverses) declared zero.
 """
 
 from __future__ import annotations
@@ -500,6 +501,76 @@ def normal_form(p: NCPolynomial, rel: RelationSystem,
     """Bring every word of ``p`` to normal order with respect to ``rel``."""
     rel.check_generators(p)
     return NCPolynomial(_reduce_terms(p.terms, rel, budget))
+
+
+def leading_term(p: NCPolynomial):
+    """The deglex-leading ``((word, hbar, mu2), value)`` item of ``p``."""
+    return max(p.terms.items(),
+               key=lambda kv: (deglex_key(kv[0][0]), kv[0][1], kv[0][2]))
+
+
+def _cofactor(word, sub):
+    """``word`` without the letters of ``sub``, or None when ``sub`` is not an
+    ordered sub-multiset of ``word``."""
+    rest = []
+    i = 0
+    for s in sub:
+        while i < len(word) and word[i] != s:
+            rest.append(word[i])
+            i += 1
+        if i == len(word):
+            return None
+        i += 1
+    return tuple(rest) + word[i:]
+
+
+def _first_division(p: NCPolynomial, divisors):
+    """The deglex-largest term of ``p`` divisible by a leading word."""
+    for (w, h, m), v in sorted(p.terms.items(), reverse=True,
+                               key=lambda kv: deglex_key(kv[0][0])):
+        for lw, s in divisors:
+            cof = _cofactor(w, lw)
+            if cof is not None:
+                return (w, h, m), v, s, cof
+    return None
+
+
+def reduce_modulo(p: NCPolynomial, rel: RelationSystem, side_relations,
+                  budget: int = STEP_BUDGET) -> NCPolynomial:
+    """Normal form of ``p`` modulo the ideal of ``side_relations``.
+
+    Leading-monomial division (Bergman's diamond lemma): while some word of
+    ``p`` contains the deglex-leading word of a side relation ``s`` as an
+    ordered sub-multiset, subtract the multiple of ``s * cofactor`` that
+    cancels it.  Precondition: the letters of each leading word commute with
+    the rest of the word, so that ``s * cofactor`` contains the word itself
+    (commutative side relations and central formal inverses qualify).  More
+    than ``budget`` divisions raise :class:`NonTerminating`.
+    """
+    divisors = []
+    for s in side_relations:
+        s = normal_form(s, rel)
+        (lw, lh, _), _ = leading_term(s)
+        if lh != 0:
+            raise StarAlgebraError("side relation with non-invertible lead")
+        divisors.append((lw, s))
+    p = normal_form(p, rel, budget)
+    steps = 0
+    while True:
+        hit = _first_division(p, divisors)
+        if hit is None:
+            return p
+        steps += 1
+        if steps > budget:
+            raise NonTerminating("side-relation step budget exceeded")
+        (w, h, m), v, s, cof = hit
+        prod = multiply(s, NCPolynomial.from_word(cof), rel)
+        lead = [(ph, pm, pv) for (pw, ph, pm), pv in prod.terms.items()
+                if pw == w]
+        if not lead:
+            raise StarAlgebraError(f"side relation times {cof} misses {w}")
+        ph, pm, pv = lead[0]
+        p = p - prod.scale_coeff(Coefficient(v / pv, h - ph, m - pm))
 
 
 def multiply(a: NCPolynomial, b: NCPolynomial,

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from ._report import Check, Report
 from .star_algebra import (
     C4, CP3, R4, S4, Coefficient, GeneratorId, NCPolynomial, RelationSystem,
-    UnknownGenerator, classical_normal_form_word, deglex_key, multiply,
-    normal_form,
+    UnknownGenerator, classical_normal_form_word, multiply, reduce_modulo,
 )
 from .hopf_twist import ClassicalModel, ToricModel, MoyalModel, z, zeta
 
@@ -32,68 +31,15 @@ def _commutative_relation_system(generators, star_overrides=None):
 class QuotientContext:
     """A commutative algebra together with side relations declared zero.
 
-    Each side relation is reduced against by eliminating its deglex-leading
-    monomial (divisibility of commutative words); declared inverses are fresh
-    generators whose defining relation is handled the same way.
+    Declared inverses are fresh generators whose defining relation is one
+    more side relation; :func:`reduce_modulo` divides by all of them.
     """
 
     rel: RelationSystem
     side_relations: list
 
-    def __post_init__(self):
-        self._rules = []
-        for p in self.side_relations:
-            p = normal_form(p, self.rel)
-            (w, h, m), v = max(p.terms.items(),
-                               key=lambda kv: (deglex_key(kv[0][0]),
-                                               kv[0][1], kv[0][2]))
-            if h != 0:
-                raise UnknownGenerator("side relation with non-invertible lead")
-            lead = Coefficient(v, h, m)
-            rest = p - NCPolynomial.from_word(w, lead)
-            self._rules.append((w, lead, rest))
-
-    def reduce(self, p: NCPolynomial, max_steps=100000) -> NCPolynomial:
-        p = normal_form(p, self.rel)
-        steps = 0
-        changed = True
-        while changed:
-            changed = False
-            for (lw, lc, rest) in self._rules:
-                for (w, h, m), v in list(p.terms.items()):
-                    pos = _find_subword(w, lw)
-                    if pos is None:
-                        continue
-                    steps += 1
-                    if steps > max_steps:
-                        raise UnknownGenerator("quotient reduction stalled")
-                    cof = tuple(x for i, x in enumerate(w) if i not in pos)
-                    c = Coefficient(v / lc.value, h - lc.hbar, m - lc.mu2)
-                    p = p - NCPolynomial.from_word(w, Coefficient(v, h, m))
-                    p = p - multiply(rest, NCPolynomial.from_word(cof, c),
-                                     self.rel)
-                    changed = True
-                    break
-                if changed:
-                    break
-        return p
-
-    def is_zero(self, p: NCPolynomial, tol=RESIDUAL_TOL) -> bool:
-        return self.reduce(p).eval_norm(self.rel.theta) <= tol
-
-
-def _find_subword(word, sub):
-    """Positions realizing ``sub`` as a sub-multiset of the sorted word."""
-    pos = []
-    i = 0
-    for s in sub:
-        while i < len(word) and word[i] != s:
-            i += 1
-        if i == len(word):
-            return None
-        pos.append(i)
-        i += 1
-    return set(pos)
+    def reduce(self, p: NCPolynomial) -> NCPolynomial:
+        return reduce_modulo(p, self.rel, self.side_relations)
 
 
 # -- generators and algebra maps ----------------------------------------------
@@ -139,12 +85,6 @@ def r4_ring(localised=False):
     gens = list(ClassicalModel().generators(R4, calculus=False))
     if localised:
         gens.append(R4_INV)
-    return _commutative_relation_system(gens, _SELF_ADJOINT)
-
-
-def cp3_ring():
-    names = ["a1", "a2", "a3", "a4", "u1", "u2", "u3", "v1", "v2", "v3"]
-    gens = [cp3_gen(n) for n in names] + [cp3_gen(n + "*") for n in names]
     return _commutative_relation_system(gens, _SELF_ADJOINT)
 
 

@@ -107,3 +107,16 @@ def test_failed_check_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(d.to_json_dict()))
     assert run(["verify-monad", "--data", str(path)]) == 1
+
+
+
+@pytest.mark.parametrize("argv", [
+    ["instanton", "--data", "unused.json", "--points", "0"],
+    ["charge", "--data", "unused.json", "--resolution", "0"],
+    ["relations", "--model", "moyal", "--space", "MonadM", "--k", "0"],
+])
+def test_nonpositive_count_is_a_usage_error(argv, capsys):
+    # rejected while parsing, before the data file is opened
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: must be at least 1, got 0" in err

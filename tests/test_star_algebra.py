@@ -4,11 +4,13 @@ import pytest
 from ncadhm.star_algebra import (
     Coefficient, GeneratorId, NCPolynomial, NonTerminating, RelationSystem,
     MissingCalculus, UnknownGenerator, adjoint, differential, multiply,
-    normal_form, C4,
+    normal_form, reduce_modulo, C4,
 )
 from ncadhm.hopf_twist import (
     ClassicalModel, MoyalModel, ToricModel, derive_relations, z, zeta,
 )
+from ncadhm.instanton import RHO2_INV
+from ncadhm.monad import ADHMData, adhm_residual, bosonise_monad, build_monad
 
 HBAR, ALPHA, BETA = 0.1, 1.0, 2.0
 
@@ -262,3 +264,31 @@ def test_canonical_text_golden(moyal_c4):
     relt = derive_relations(ToricModel(0.25), C4, calculus=False)
     q = normal_form(word(z(3), z(1)), relt)
     assert q.canonical_text() == "(1+0j)*mu^1*z1*z3"
+
+
+def test_reduce_modulo_budget():
+    # x^6 modulo x^2 - 1 needs three divisions
+    x = z(1)
+    rel = RelationSystem([x], {})
+    side = [word(x, x) - NCPolynomial.one()]
+    p = word(*[x] * 6)
+    assert reduce_modulo(p, rel, side).canonical_text() == "(1+0j)*1"
+    with pytest.raises(NonTerminating):
+        reduce_modulo(p, rel, side, budget=2)
+
+
+def test_reduce_modulo_formal_inverse():
+    # exact Moyal k = 1 datum: J = 0 and |I|^2 = hbar (alpha + beta)
+    model = MoyalModel(HBAR, ALPHA, BETA)
+    d = ADHMData(1, model, [[0.3 + 0.1j]], [[-0.2j]],
+                 [[np.sqrt(model.zeta_level), 0.0]], [[0.0], [0.0]])
+    assert sum(adhm_residual(d)) <= 1e-15
+    sigma, _, rel = bosonise_monad(build_monad(d), model)
+    rho2 = sigma.adjoint(rel).matmul(sigma, rel).entries[0][0]
+    rel2 = RelationSystem(list(rel.generators) + [RHO2_INV], rel.rules,
+                          theta=rel.theta)
+    rinv = NCPolynomial.from_word((RHO2_INV,))
+    x = multiply(rinv, multiply(rho2, rinv, rel2), rel2) - rinv
+    assert len(x.terms) == len(rho2.terms) + 1
+    side = [multiply(rinv, rho2, rel2) - NCPolynomial.one()]
+    assert reduce_modulo(x, rel2, side).is_structurally_zero()

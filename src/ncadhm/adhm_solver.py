@@ -3,9 +3,11 @@
 The equations are solved over the real and imaginary parts of (B1, B2, I, J)
 with a Levenberg-Marquardt iteration on the stacked residual vector: the 2k^2
 real components of the complex equation plus the k^2 real components of the
-Hermitian one.  The same Jacobian feeds the moduli-dimension analysis, which
-counts null directions of the constraint map at a solution and splits off
-the gauge orbit and the global frame rotations.
+Hermitian one.  The Jacobian is exact, not a finite difference, and is
+built in one batched evaluation over all 4k^2+8k unit directions.  The same
+Jacobian feeds the moduli-dimension analysis, which counts null directions
+of the constraint map at a solution and splits off the gauge orbit and the
+global frame rotations.
 """
 
 from __future__ import annotations
@@ -15,7 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hopf_twist import TwistModel
-from .monad import ADHMData, ShapeError, _dag, adhm_equations, adhm_residual
+from .monad import (
+    ADHMData, ShapeError, _dag, adhm_equations, adhm_residual,
+    parameter_blocks,
+)
 
 
 class NoConvergence(Exception):
@@ -66,46 +71,45 @@ class JacobianAnalysis:
 
 # -- residual and Jacobian ------------------------------------------------------
 
-def _herm_components(h):
-    """Independent real components of a Hermitian k x k matrix (k^2 of them)."""
-    k = h.shape[0]
-    out = [h[i, i].real for i in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            out.extend([h[i, j].real, h[i, j].imag])
-    return out
+def _constraint_components(ceq, herm):
+    """The 3k^2 real constraint values along the last axis.
+
+    The real and imaginary parts of the complex equation, then the k^2
+    independent real components of the Hermitian one: its diagonal, and the
+    real and imaginary part of each strictly upper entry in row order.
+    """
+    flat = ceq.shape[:-2] + (-1,)
+    rows, cols = np.triu_indices(herm.shape[-1], 1)
+    upper = herm[..., rows, cols]
+    pairs = np.stack([upper.real, upper.imag], axis=-1).reshape(flat)
+    return np.concatenate([ceq.real.reshape(flat), ceq.imag.reshape(flat),
+                           np.diagonal(herm, axis1=-2, axis2=-1).real, pairs],
+                          axis=-1)
 
 
 def residual_vector(data: ADHMData) -> np.ndarray:
-    ceq, herm = adhm_equations(data)
-    return np.concatenate([ceq.real.ravel(), ceq.imag.ravel(),
-                           np.array(_herm_components(herm))])
+    return _constraint_components(*adhm_equations(data))
 
 
-def _directional_derivative(data: ADHMData, delta: ADHMData) -> np.ndarray:
+def constraint_jacobian(data: ADHMData) -> np.ndarray:
+    """Exact real Jacobian of the 3k^2 constraints in the 4k^2+8k variables.
+
+    The equations are quadratic, so column i is their bilinear derivative
+    along the i-th unit direction; all columns are evaluated in one batch.
+    Each matrix product has a unit direction as one factor and so copies
+    entries exactly, which makes every column bit-identical to evaluating
+    its direction on its own.
+    """
+    k = data.k
     mu = data.model.mu
     B1, B2, I, J = data.B1, data.B2, data.I, data.J
-    dB1, dB2, dI, dJ = delta.B1, delta.B2, delta.I, delta.J
+    dB1, dB2, dI, dJ = parameter_blocks(k, np.eye(4 * k * k + 8 * k))
     dceq = (np.conj(mu) * (dB1 @ B2 + B1 @ dB2)
             - mu * (dB2 @ B1 + B2 @ dB1) + dI @ J + I @ dJ)
     dherm = (dB1 @ _dag(B1) + B1 @ _dag(dB1) - _dag(dB1) @ B1 - _dag(B1) @ dB1
              + dB2 @ _dag(B2) + B2 @ _dag(dB2) - _dag(dB2) @ B2 - _dag(B2) @ dB2
              + dI @ _dag(I) + I @ _dag(dI) - _dag(dJ) @ J - _dag(J) @ dJ)
-    return np.concatenate([dceq.real.ravel(), dceq.imag.ravel(),
-                           np.array(_herm_components(dherm))])
-
-
-def constraint_jacobian(data: ADHMData) -> np.ndarray:
-    """Exact real Jacobian of the 3k^2 constraints in the 4k^2+8k variables."""
-    k = data.k
-    nvars = 4 * k * k + 8 * k
-    cols = []
-    for i in range(nvars):
-        v = np.zeros(nvars)
-        v[i] = 1.0
-        delta = ADHMData.from_parameter_vector(k, data.model, v)
-        cols.append(_directional_derivative(data, delta))
-    return np.array(cols).T
+    return _constraint_components(dceq, dherm).T
 
 
 # -- Levenberg-Marquardt ---------------------------------------------------------
@@ -149,6 +153,18 @@ def _residual_sum(data: ADHMData) -> float:
     return c + h
 
 
+def _random_start(k, model, rng) -> ADHMData:
+    """Complex Gaussian data, scaled up to the model's deformation level."""
+    scale = max(1.0, np.sqrt(abs(model.zeta_level)))
+
+    def gauss(shape):
+        return scale * (rng.standard_normal(shape)
+                        + 1j * rng.standard_normal(shape))
+
+    return ADHMData(k, model, gauss((k, k)), gauss((k, k)),
+                    gauss((k, 2)), gauss((2, k)))
+
+
 def solve(k: int, model: TwistModel, zeta: float | None = None,
           cfg: SolveConfig | None = None) -> ADHMData:
     """Best-of-multistarts solution of the model's ADHM equations.
@@ -163,20 +179,12 @@ def solve(k: int, model: TwistModel, zeta: float | None = None,
     if zeta is not None and abs(zeta - model.zeta_level) > 1e-12:
         raise ShapeError(
             f"zeta {zeta} does not match the model level {model.zeta_level}")
-    scale = max(1.0, np.sqrt(abs(model.zeta_level)))
     best = None
     best_key = None
     rng = np.random.default_rng(cfg.rng_seed)
     for start in range(cfg.multistarts):
         child = np.random.default_rng(rng.integers(0, 2 ** 63 - 1))
-
-        def gauss(shape):
-            return scale * (child.standard_normal(shape)
-                            + 1j * child.standard_normal(shape))
-
-        init = ADHMData(k, model, gauss((k, k)), gauss((k, k)),
-                        gauss((k, 2)), gauss((2, k)))
-        cand, _ = _lm_minimize(init, cfg)
+        cand, _ = _lm_minimize(_random_start(k, model, child), cfg)
         key = (_residual_sum(cand), float(np.linalg.norm(
             cand.parameter_vector())))
         if best_key is None or key < best_key:
@@ -191,16 +199,8 @@ def solve(k: int, model: TwistModel, zeta: float | None = None,
 def solve_history(k, model, cfg=None):
     """Single-start run returning the accepted-step residual history."""
     cfg = cfg or SolveConfig(multistarts=1)
-    rng = np.random.default_rng(cfg.rng_seed)
-    scale = max(1.0, np.sqrt(abs(model.zeta_level)))
-
-    def gauss(shape):
-        return scale * (rng.standard_normal(shape)
-                        + 1j * rng.standard_normal(shape))
-
-    init = ADHMData(k, model, gauss((k, k)), gauss((k, k)),
-                    gauss((k, 2)), gauss((2, k)))
-    return _lm_minimize(init, cfg)
+    return _lm_minimize(
+        _random_start(k, model, np.random.default_rng(cfg.rng_seed)), cfg)
 
 
 # -- gauge distance ----------------------------------------------------------------

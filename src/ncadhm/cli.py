@@ -60,6 +60,15 @@ def _positive_int(text) -> int:
     return value
 
 
+def _positive_float(text) -> float:
+    """argparse type for tolerances, which must be finite and above 0."""
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text}")
+    return value
+
+
 def _add_model_flags(p):
     p.add_argument("--model", required=True,
                    choices=["classical", "moyal", "toric"])
@@ -207,14 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--multistarts", type=_positive_int, default=8)
-    p.add_argument("--tolerance", type=float, default=1e-12)
-    p.add_argument("--max-iterations", type=int, default=200)
+    p.add_argument("--tolerance", type=_positive_float, default=1e-12)
+    p.add_argument("--max-iterations", type=_positive_int, default=200)
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify-monad", help="symbolic monad residuals for a data file")
     p.add_argument("--data", required=True)
-    p.add_argument("--tolerance", type=float, default=1e-10)
+    p.add_argument("--tolerance", type=_positive_float, default=1e-10)
     p.add_argument("--full", action="store_true",
                    help="also run the smash-algebra projector checks")
     p.add_argument("--out")

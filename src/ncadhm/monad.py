@@ -95,16 +95,7 @@ class ADHMData:
 
     @staticmethod
     def from_parameter_vector(k, model, v) -> "ADHMData":
-        sizes = [(k, k), (k, k), (k, 2), (2, k)]
-        mats = []
-        at = 0
-        for shape in sizes:
-            n = shape[0] * shape[1]
-            re = v[at:at + n].reshape(shape)
-            im = v[at + n:at + 2 * n].reshape(shape)
-            mats.append(re + 1j * im)
-            at += 2 * n
-        return ADHMData(k, model, *mats)
+        return ADHMData(k, model, *parameter_blocks(k, v))
 
     # -- JSON wire format --------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -125,6 +116,19 @@ class ADHMData:
         return ADHMData(int(obj["k"]), model_from_json(obj["model"]),
                         mat(obj["B1"]), mat(obj["B2"]),
                         mat(obj["I"]), mat(obj["J"]))
+
+
+def parameter_blocks(k, v):
+    """(B1, B2, I, J) from parameter vectors stacked along the last axis."""
+    mats = []
+    at = 0
+    for shape in ((k, k), (k, k), (k, 2), (2, k)):
+        n = shape[0] * shape[1]
+        re = v[..., at:at + n].reshape(v.shape[:-1] + shape)
+        im = v[..., at + n:at + 2 * n].reshape(v.shape[:-1] + shape)
+        mats.append(re + 1j * im)
+        at += 2 * n
+    return mats
 
 
 def adhm_equations(data: ADHMData):

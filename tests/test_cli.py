@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -114,9 +115,89 @@ def test_failed_check_exit_code(tmp_path, capsys):
     ["instanton", "--data", "unused.json", "--points", "0"],
     ["charge", "--data", "unused.json", "--resolution", "0"],
     ["relations", "--model", "moyal", "--space", "MonadM", "--k", "0"],
+    ["solve", "--k", "1", "--model", "classical", "--max-iterations", "0"],
 ])
 def test_nonpositive_count_is_a_usage_error(argv, capsys):
     # rejected while parsing, before the data file is opened
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert f"argument {argv[-2]}: must be at least 1, got 0" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--k", "1", "--model", "classical", "--max-iterations", "-1"],
+     "must be at least 1, got -1"),
+    (["solve", "--k", "1", "--model", "classical", "--tolerance", "nan"],
+     "must be a positive finite number, got nan"),
+    (["solve", "--k", "1", "--model", "classical", "--tolerance", "inf"],
+     "must be a positive finite number, got inf"),
+    (["solve", "--k", "1", "--model", "classical", "--tolerance", "0"],
+     "must be a positive finite number, got 0"),
+    (["verify-monad", "--data", "unused.json", "--tolerance", "nan"],
+     "must be a positive finite number, got nan"),
+    (["verify-monad", "--data", "unused.json", "--tolerance", "-1"],
+     "must be a positive finite number, got -1"),
+])
+def test_bad_tolerance_or_iteration_cap_is_a_usage_error(argv, message,
+                                                         capsys):
+    # rejected while parsing: no solve runs and no report is emitted
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[-2]}: {message}" in captured.err
+
+
+GOLDEN_MODEL_FLAGS = {
+    "classical": ["--model", "classical"],
+    "moyal": ["--model", "moyal", "--hbar", "0.2", "--alpha", "1",
+              "--beta", "0.5"],
+    "toric": ["--model", "toric", "--theta", "0.3"],
+}
+
+# SHA-256 of the `solve --seed 3 --out` file and of the `moduli-dim` output
+# for that file, recorded with the per-column Jacobian loop (numpy 2.4,
+# OpenBLAS 0.3.31, x86-64).  A different BLAS may round differently.
+GOLDEN_DIGESTS = {
+    ("classical", 1): (
+        "3416001bbc3e41e587a727e3978cc407e0c9e7d4a509742c41deff9799ef644c",
+        "c8b3a76985d732f2d614da30cda5a7bb0dba4faf2502bb09dc1dcacdbec61e1c"),
+    ("moyal", 1): (
+        "6a46b14d8ab400a39c738c7517329ec35b5916876555fb50abd0c926dc024106",
+        "69b9588d05abb59d0826f5d73f7d95ddb91479a333e492e6b9a6070c1a845ada"),
+    ("toric", 1): (
+        "14d6ca509378fadf65a2ad40e0012df7c2e964d0659d59ad7aac22a3d2e4c8ff",
+        "d66353fda8a307031fa222da7e2d2a1406b079999d6960f400277cf5921ac138"),
+    ("classical", 2): (
+        "f3aa263a413a852a9aa07885a435a55eeb5d65850152de4a1c6de9a25159f956",
+        "c24a2fb99c3fff67097a90370c99d98d98f96967ccb2552f53f89eaf65ccb51f"),
+    ("moyal", 2): (
+        "d97da1059369203659b5c88394e0902d51f73c38868919bf61bea2c20efce560",
+        "c22e6d004d3bd928c5b179c626e1fe7e9f2955c35e9d07f749898cdf4f0eb882"),
+    ("toric", 2): (
+        "6409de10d2a31339b07fccf9b83fad841e75c161436ad7895911aaa3613f9931",
+        "8f310239a97e1a536505be0906573866d05e642ea4f772a160793f56d4630f6d"),
+    ("classical", 3): (
+        "f0a9b2fe2cc44cc834a1f5c7ebeb5770e7ed73a301b2241a8faecda10375726b",
+        "6853b55a988b2b955d187adbc2c005fdf197c4ceb42c4d746984bd530393c480"),
+    ("moyal", 3): (
+        "7ec5dddd5c682232499b7ab3da1d78d44d363528911476755b28c0c725b76baf",
+        "5671780324bc7f059c96745a9cec01e485a598dd20008b5195f2613fbf2a4b27"),
+    ("toric", 3): (
+        "89706b214bf5f791d8e839e8d5ca03100c604973687d1f95a34196381b615883",
+        "2f30a07a528ae1ae57f97afbedbc25cbe2288c54dc727412db81c6617df5d9ff"),
+}
+
+
+@pytest.mark.parametrize("model, k", list(GOLDEN_DIGESTS))
+def test_solve_and_moduli_dim_output_is_byte_identical(model, k, tmp_path,
+                                                        capsys):
+    path = tmp_path / "sol.json"
+    tol = "1e-12" if k == 1 else "1e-10"
+    assert run(["solve", "--k", str(k), *GOLDEN_MODEL_FLAGS[model],
+                "--seed", "3", "--tolerance", tol, "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert run(["moduli-dim", "--data", str(path)]) == 0
+    moduli_out = capsys.readouterr().out
+    solve_digest, moduli_digest = GOLDEN_DIGESTS[model, k]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == solve_digest
+    assert hashlib.sha256(moduli_out.encode()).hexdigest() == moduli_digest

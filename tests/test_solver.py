@@ -134,3 +134,65 @@ def test_jacobian_matches_finite_differences():
         rp = residual_vector(ADHMData.from_parameter_vector(1, model, vp))
         fd = (rp - r0) / eps
         assert np.linalg.norm(fd - J[:, i]) < 1e-5
+
+
+MODELS = (ClassicalModel(), MoyalModel(0.2, 1.0, 0.5), ToricModel(0.3))
+
+
+def rand_complex_data(k, model, rng):
+    def gauss(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return ADHMData(k, model, gauss((k, k)), gauss((k, k)), gauss((k, 2)),
+                    gauss((2, k)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+def test_jacobian_matches_central_differences(k, model):
+    # the constraints are quadratic, so a central difference is exact up to
+    # rounding for any step
+    d = rand_complex_data(k, model, np.random.default_rng(40 + k))
+    J = constraint_jacobian(d)
+    v0 = d.parameter_vector()
+    assert J.shape == (3 * k * k, v0.size)
+    h = 0.5
+    for i in range(v0.size):
+        step = np.zeros(v0.size)
+        step[i] = h
+        rp, rm = (residual_vector(ADHMData.from_parameter_vector(k, model, v))
+                  for v in (v0 + step, v0 - step))
+        assert np.max(np.abs((rp - rm) / (2 * h) - J[:, i])) < 1e-12
+
+
+def _dag(a):
+    return a.conj().T
+
+
+def _jacobian_column_loop(d):
+    """The per-column reference: one directional derivative per unit vector."""
+    mu = d.model.mu
+    B1, B2, I, J = d.B1, d.B2, d.I, d.J
+    n = d.parameter_vector().size
+    cols = []
+    for v in np.eye(n):
+        e = ADHMData.from_parameter_vector(d.k, d.model, v)
+        dceq = (np.conj(mu) * (e.B1 @ B2 + B1 @ e.B2)
+                - mu * (e.B2 @ B1 + B2 @ e.B1) + e.I @ J + I @ e.J)
+        dherm = (e.B1 @ _dag(B1) + B1 @ _dag(e.B1) - _dag(e.B1) @ B1
+                 - _dag(B1) @ e.B1 + e.B2 @ _dag(B2) + B2 @ _dag(e.B2)
+                 - _dag(e.B2) @ B2 - _dag(B2) @ e.B2 + e.I @ _dag(I)
+                 + I @ _dag(e.I) - _dag(e.J) @ J - _dag(J) @ e.J)
+        upper = [x for i in range(d.k) for j in range(i + 1, d.k)
+                 for x in (dherm[i, j].real, dherm[i, j].imag)]
+        cols.append(np.concatenate([dceq.real.ravel(), dceq.imag.ravel(),
+                                    np.diag(dherm).real, upper]))
+    return np.array(cols).T
+
+
+def test_batched_jacobian_equals_column_loop_exactly():
+    rng = np.random.default_rng(21)
+    for k in (1, 2, 3, 4):
+        for model in MODELS:
+            d = rand_complex_data(k, model, rng)
+            assert np.array_equal(constraint_jacobian(d),
+                                  _jacobian_column_loop(d))

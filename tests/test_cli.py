@@ -188,16 +188,53 @@ GOLDEN_DIGESTS = {
 }
 
 
+def _golden_solve(model, k, path):
+    """Write the `solve --seed 3` file that the golden digests start from."""
+    tol = "1e-12" if k == 1 else "1e-10"
+    assert run(["solve", "--k", str(k), *GOLDEN_MODEL_FLAGS[model],
+                "--seed", "3", "--tolerance", tol, "--out", str(path)]) == 0
+
+
 @pytest.mark.parametrize("model, k", list(GOLDEN_DIGESTS))
 def test_solve_and_moduli_dim_output_is_byte_identical(model, k, tmp_path,
                                                         capsys):
     path = tmp_path / "sol.json"
-    tol = "1e-12" if k == 1 else "1e-10"
-    assert run(["solve", "--k", str(k), *GOLDEN_MODEL_FLAGS[model],
-                "--seed", "3", "--tolerance", tol, "--out", str(path)]) == 0
+    _golden_solve(model, k, path)
     capsys.readouterr()
     assert run(["moduli-dim", "--data", str(path)]) == 0
     moduli_out = capsys.readouterr().out
     solve_digest, moduli_digest = GOLDEN_DIGESTS[model, k]
     assert hashlib.sha256(path.read_bytes()).hexdigest() == solve_digest
     assert hashlib.sha256(moduli_out.encode()).hexdigest() == moduli_digest
+
+
+# SHA-256 of `instanton --points 200 --seed 5 --check-asd` and, for k=1, of
+# `charge --resolution 6` on the classical golden solutions, recorded with
+# the per-point projector rebuilt through vstack'ed monad blocks (numpy 2.4,
+# OpenBLAS 0.3.31, x86-64).
+GOLDEN_INSTANTON_DIGESTS = {
+    1: "ae2c5b90b4f688de8036ec21ee38469de4d387db46339f297c8a923d53b6ae03",
+    2: "438bbbeedc98c49c4c70c9c87015a3dfee6d70b0fa761fc974bf378f261eabab",
+    3: "3696745f6a5606363e8f870f3d5d18ef920f945f275b45678cae3e99d4214446",
+}
+GOLDEN_CHARGE_DIGEST = (
+    "a0ab70678053b41d1c5eedc51b8bbe72841aa9e1802eb52688a8992e2b21184e")
+
+
+@pytest.mark.parametrize("k", list(GOLDEN_INSTANTON_DIGESTS))
+def test_instanton_and_charge_output_is_byte_identical(k, tmp_path, capsys):
+    path = tmp_path / "sol.json"
+    _golden_solve("classical", k, path)
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == GOLDEN_DIGESTS["classical", k][0])
+    capsys.readouterr()
+    assert run(["instanton", "--data", str(path), "--points", "200",
+                "--seed", "5", "--check-asd"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        GOLDEN_INSTANTON_DIGESTS[k]
+    if k == 1:
+        assert run(["charge", "--data", str(path), "--resolution", "6"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            GOLDEN_CHARGE_DIGEST

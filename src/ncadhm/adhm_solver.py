@@ -43,8 +43,8 @@ class SolveConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < float("inf"):
+            raise ValueError("tolerance must be positive and finite")
         if self.multistarts < 1:
             raise ValueError("multistarts must be >= 1")
 
@@ -176,7 +176,7 @@ def solve(k: int, model: TwistModel, zeta: float | None = None,
     if k < 1:
         raise ShapeError("k must be >= 1")
     cfg = cfg or SolveConfig()
-    if zeta is not None and abs(zeta - model.zeta_level) > 1e-12:
+    if zeta is not None and not abs(zeta - model.zeta_level) <= 1e-12:
         raise ShapeError(
             f"zeta {zeta} does not match the model level {model.zeta_level}")
     best = None

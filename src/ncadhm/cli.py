@@ -69,6 +69,15 @@ def _positive_float(text) -> float:
     return value
 
 
+def _finite_float(text) -> float:
+    """argparse type for real parameters that must be finite."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number, got {text}")
+    return value
+
+
 def _add_model_flags(p):
     p.add_argument("--model", required=True,
                    choices=["classical", "moyal", "toric"])
@@ -213,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve the deformed ADHM equations")
     _add_model_flags(p)
     p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--zeta", type=float, default=None)
+    p.add_argument("--zeta", type=_finite_float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--multistarts", type=_positive_int, default=8)
     p.add_argument("--tolerance", type=_positive_float, default=1e-12)

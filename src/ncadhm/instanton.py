@@ -71,14 +71,12 @@ def _require_classical(data: ADHMData):
 
 
 def monad_pair_at(m: MonadMatrices, z1, z2):
-    """The two column blocks of the monad map over the point (batched)."""
-    z1 = np.asarray(z1, dtype=complex)
-    z2 = np.asarray(z2, dtype=complex)
+    """The two column blocks of the monad map, broadcast over z1 and z2."""
+    z1 = np.asarray(z1, dtype=complex)[..., None, None]
+    z2 = np.asarray(z2, dtype=complex)[..., None, None]
     M1, M2, M3, M4 = m.M
-    s1 = (M1[None] + np.conj(z1)[..., None, None] * M3[None]
-          - z2[..., None, None] * M4[None])
-    s2 = (M2[None] + np.conj(z2)[..., None, None] * M3[None]
-          + z1[..., None, None] * M4[None])
+    s1 = M1 + np.conj(z1) * M3 - z2 * M4
+    s2 = M2 + np.conj(z2) * M3 + z1 * M4
     return s1, s2
 
 
@@ -87,35 +85,35 @@ def _v_batch(m: MonadMatrices, z1, z2):
     return np.concatenate([s1, s2], axis=-1)
 
 
+def _projector(V):
+    """G^-1 and Q = V G^-1 V+ for G = V+V, over the last two axes."""
+    Vd = _dag(V)
+    Ginv = np.linalg.inv(Vd @ V)
+    return Ginv, V @ Ginv @ Vd
+
+
 # Constant coordinate derivatives of V in (Re z1, Im z1, Re z2, Im z2).
 def _dv_tables(m: MonadMatrices):
     M3, M4 = m.M[2], m.M[3]
-
-    def blocks(d1, d2):
-        return np.concatenate([d1, d2], axis=-1)
-
     # sigma_(1) depends on zeta1* and zeta2, sigma_(2) on zeta2* and zeta1.
-    d = {
-        0: blocks(M3, M4),                 # d/d Re zeta1
-        1: blocks(-1j * M3, 1j * M4),      # d/d Im zeta1
-        2: blocks(-M4, M3),                # d/d Re zeta2
-        3: blocks(-1j * M4, -1j * M3),     # d/d Im zeta2
-    }
-    return d
+    return [
+        np.hstack([M3, M4]),                # d/d Re zeta1
+        np.hstack([-1j * M3, 1j * M4]),     # d/d Im zeta1
+        np.hstack([-M4, M3]),               # d/d Re zeta2
+        np.hstack([-1j * M4, -1j * M3]),    # d/d Im zeta2
+    ]
 
 
 def evaluate_projector(data: ADHMData, x: PointR4) -> ConnectionSample:
     """The rank-2k projector Q and its complement P at one plane point."""
     _require_classical(data)
-    m = build_monad(data)
-    V = _v_batch(m, np.array([x.zeta1]), np.array([x.zeta2]))[0]
-    s1, s2 = V[:, :data.k], V[:, data.k:]
+    V = _v_batch(build_monad(data), x.zeta1, x.zeta2)
+    s1 = V[:, :data.k]
     rho2 = _dag(s1) @ s1
     ev = np.linalg.eigvalsh(rho2)
     if ev.min() < SINGULAR_CUTOFF:
         raise SingularRho(f"sigma_min(rho2) = {ev.min():.3e} at {x}")
-    G = _dag(V) @ V
-    Q = V @ np.linalg.inv(G) @ _dag(V)
+    _, Q = _projector(V)
     P = np.eye(2 * data.k + 2) - Q
     return ConnectionSample(x, V, rho2, Q, P)
 
@@ -127,17 +125,15 @@ def _curvature_batch(m: MonadMatrices, z1, z2):
     projector curvature P[dP, dP]P is used by the finite-difference check.
     """
     V = _v_batch(m, z1, z2)
-    G = _dag(V) @ V
-    Ginv = np.linalg.inv(G)
+    Ginv, Q = _projector(V)
     n = V.shape[-2]
-    P = np.eye(n)[None] - V @ Ginv @ _dag(V)
-    dV = _dv_tables(m)
-    npts = V.shape[0]
-    F = np.zeros((npts, 4, 4, n, n), dtype=complex)
+    # P is written into Q's buffer and F is allocated before the dP
+    # temporaries: on thousands of points the peak RSS depends on both
+    P = np.subtract(np.eye(n), Q, out=Q)
+    F = np.zeros((V.shape[0], 4, 4, n, n), dtype=complex)
     # dP/dx_mu, analytic
     dP = []
-    for mu in range(4):
-        Dv = np.broadcast_to(dV[mu], V.shape)
+    for Dv in _dv_tables(m):
         dG = _dag(Dv) @ V + _dag(V) @ Dv
         dGinv = -Ginv @ dG @ Ginv
         term = Dv @ Ginv @ _dag(V) + V @ dGinv @ _dag(V) + V @ Ginv @ _dag(Dv)
@@ -219,11 +215,8 @@ def finite_difference_curvature(data: ADHMData, x: PointR4, step=1e-5):
     m = build_monad(data)
 
     def P_at(v):
-        z1 = np.array([v[0] + 1j * v[1]])
-        z2 = np.array([v[2] + 1j * v[3]])
-        V = _v_batch(m, z1, z2)[0]
-        G = _dag(V) @ V
-        return np.eye(V.shape[0]) - V @ np.linalg.inv(G) @ _dag(V)
+        V = _v_batch(m, v[0] + 1j * v[1], v[2] + 1j * v[3])
+        return np.eye(V.shape[0]) - _projector(V)[1]
 
     v0 = np.array([x.zeta1.real, x.zeta1.imag, x.zeta2.real, x.zeta2.imag])
     P0 = P_at(v0)

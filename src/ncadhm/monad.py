@@ -39,7 +39,7 @@ def _as_complex(a, shape, name):
     a = np.asarray(a, dtype=complex)
     if a.shape != shape:
         raise ShapeError(f"{name} must have shape {shape}, got {a.shape}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise ShapeError(f"{name} has non-finite entries")
     return a
 
@@ -201,13 +201,11 @@ def build_monad(data: ADHMData) -> MonadMatrices:
     k = data.k
     mu = data.model.mu
     mub = np.conj(mu)
-    Ik = np.eye(k)
-    Z = np.zeros((k, k))
-    Z2 = np.zeros((2, k))
-    M3 = np.vstack([Ik, Z, Z2])
-    M4 = np.vstack([Z, Ik, Z2])
-    M1 = np.vstack([data.B1, data.B2, data.J])
-    M2 = np.vstack([-mub * _dag(data.B2), mu * _dag(data.B1), _dag(data.I)])
+    M3 = np.eye(2 * k + 2, k)
+    M4 = np.eye(2 * k + 2, k, -k)
+    M1 = np.concatenate([data.B1, data.B2, data.J])
+    M2 = np.concatenate([-mub * _dag(data.B2), mu * _dag(data.B1),
+                         _dag(data.I)])
     N1, N2, N3, N4 = _dag(M2), -_dag(M1), _dag(M4), -_dag(M3)
     return MonadMatrices(k, [M1, M2, M3, M4], [N1, N2, N3, N4],
                          self_conjugate=True)

@@ -137,6 +137,9 @@ def test_nonpositive_count_is_a_usage_error(argv, capsys):
      "must be a positive finite number, got nan"),
     (["verify-monad", "--data", "unused.json", "--tolerance", "-1"],
      "must be a positive finite number, got -1"),
+    (["solve", "--k", "1", "--model", "moyal", "--hbar", "0.2",
+      "--zeta", "nan"],
+     "must be a finite number, got nan"),
 ])
 def test_bad_tolerance_or_iteration_cap_is_a_usage_error(argv, message,
                                                          capsys):

@@ -51,6 +51,28 @@ def test_projector_invariants(solved_k1, solved_k2):
             assert np.linalg.norm(Qz @ Qj) < 1e-12
 
 
+def test_projector_matches_batch_and_closed_form(solved_k1, solved_k2):
+    # the per-point projector against the batched curvature path, and Q
+    # against sigma1 rho^-2 sigma1+ + sigma2 rho^-2 sigma2+ with the two
+    # blocks written out from (B1, B2, I, J) rather than the monad matrices
+    for d in (solved_k1, solved_k2):
+        pts = random_points(20, seed=10 + d.k)
+        z1 = np.array([p.zeta1 for p in pts])
+        z2 = np.array([p.zeta2 for p in pts])
+        _, P = _curvature_batch(build_monad(d), z1, z2)
+        eye = np.eye(d.k)
+        for p, Pb in zip(pts, P):
+            s = evaluate_projector(d, p)
+            assert np.max(np.abs(s.P - Pb)) < 1e-13
+            a, b = p.zeta1, p.zeta2
+            s1 = np.vstack([d.B1 + np.conj(a) * eye, d.B2 - b * eye, d.J])
+            s2 = np.vstack([-d.B2.conj().T + np.conj(b) * eye,
+                            d.B1.conj().T + a * eye, d.I.conj().T])
+            rinv = np.linalg.inv(s1.conj().T @ s1)
+            Q = s1 @ rinv @ s1.conj().T + s2 @ rinv @ s2.conj().T
+            assert np.max(np.abs(s.Q - Q)) < 1e-13
+
+
 def test_rho2_matches_dense_oracle(solved_k1):
     # rho2 at the origin equals the brute evaluation of sigma+ sigma
     m = build_monad(solved_k1)

@@ -256,5 +256,14 @@ def test_shape_errors():
         d = ADHMData.zero(1, ClassicalModel())
         d.I[0, 0] = np.inf
         ADHMData(1, ClassicalModel(), d.B1, d.B2, d.I, d.J)
+    for bad in (complex(0.0, np.nan), complex(0.0, np.inf)):
+        # a non-finite imaginary part alone makes the entry non-finite
+        with pytest.raises(ShapeError):
+            ADHMData(1, ClassicalModel(), np.zeros((1, 1)),
+                     np.full((1, 1), bad), np.zeros((1, 2)),
+                     np.zeros((2, 1)))
+        with pytest.raises(ShapeError):
+            MonadMatrices(1, [np.zeros((4, 1))] * 3 + [np.full((4, 1), bad)],
+                          [np.zeros((1, 4))] * 4)
     with pytest.raises(ShapeError):
         MonadMatrices(1, [np.zeros((3, 1))] * 4, [np.zeros((1, 4))] * 4)

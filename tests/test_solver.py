@@ -42,6 +42,18 @@ def test_zeta_must_match_model():
         solve(0, ClassicalModel())
 
 
+def test_nan_zeta_does_not_match_any_model():
+    # a NaN difference fails every comparison, so it must not slip through
+    with pytest.raises(ShapeError):
+        solve(1, MoyalModel(0.2, 1.0, 1.0), zeta=float("nan"))
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+def test_solve_config_rejects_non_finite_tolerance(tolerance):
+    with pytest.raises(ValueError):
+        SolveConfig(tolerance=tolerance)
+
+
 def test_residual_monotone_history():
     _, history = solve_history(1, MoyalModel(0.25, 1.0, 1.0),
                                SolveConfig(rng_seed=1, multistarts=1))

@@ -241,3 +241,72 @@ def test_instanton_and_charge_output_is_byte_identical(k, tmp_path, capsys):
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == \
             GOLDEN_CHARGE_DIGEST
+
+
+# SHA-256 of the `relations` output (stdout) for the two deformed models,
+# recorded before the never-set options of the derivation became constants.
+GOLDEN_RELATIONS_SPACES = {
+    "C4": ["--space", "C4"],
+    "C4-no-calculus": ["--space", "C4", "--no-calculus"],
+    "R4": ["--space", "R4"],
+    "MonadM": ["--space", "MonadM", "--k", "1"],
+}
+GOLDEN_RELATIONS_DIGESTS = {
+    ("moyal", "C4"):
+        "84fd9447d55b0cff7cc03535041973b36faf4583dc9926231eb4c76da0df56dd",
+    ("moyal", "C4-no-calculus"):
+        "97f1b3787e3695a53860fc62c10162cb34d4b314d8320981627fd40a33e3d01d",
+    ("moyal", "R4"):
+        "6413d6bd3de3a5a8031fbf7133ed8fc3cf22a09c51f2e7c7e5bfcecdac89e152",
+    ("moyal", "MonadM"):
+        "410e94d7fd6ad060be0a7b7607f099a0e2f741517249fbad3cfce30bbd1bcc5a",
+    ("toric", "C4"):
+        "e568c46953fea275cc775b5d46842e38e0cc6ba87cb5258480bceb18d6f3b2e8",
+    ("toric", "C4-no-calculus"):
+        "09260af79a389ce1c75b33c6949e10f80ccfc1096ad15c00f6b73455e923eca7",
+    ("toric", "R4"):
+        "eaa44f5a54b5815c765d55b46839605e83c089b646d570a5986edaada92bde65",
+    ("toric", "MonadM"):
+        "0b2c6f5b82b58e8add8d498ea1d7bc21e8dff34b6c577b35e84d20e23833e10d",
+}
+
+
+@pytest.mark.parametrize("model, space", list(GOLDEN_RELATIONS_DIGESTS))
+def test_relations_output_is_byte_identical(model, space, capsys):
+    assert run(["relations", *GOLDEN_MODEL_FLAGS[model],
+                *GOLDEN_RELATIONS_SPACES[space]]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        GOLDEN_RELATIONS_DIGESTS[model, space]
+
+
+def test_twistor_checks_output_is_byte_identical(capsys):
+    assert run(["twistor-checks"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c965f942d3c6510cb705666a5b28724963486a58ec3b0629200ae2b5ae62baea")
+
+
+# SHA-256 of `verify-monad` without and with `--full` on the k=1 golden
+# solutions of the two deformed models.
+GOLDEN_VERIFY_DIGESTS = {
+    "moyal": (
+        "1d7c5bc926c02ff2dfdb0c5ac66fe194158d3fd424d612daf8eb207c3f4d97e0",
+        "c9f23b4aa4255950276d2da8e7c30c9467d3a8951896d1895a92ed6c0ebb6001"),
+    "toric": (
+        "13b080658c5a45521543712ba5618a0ea856a89e0d618b03046f56b8580ed136",
+        "46fd0c901dcf379061da04e2b4c9d6fb4c5103d01690a25010c6ffa5d0c8a36f"),
+}
+
+
+@pytest.mark.parametrize("model", list(GOLDEN_VERIFY_DIGESTS))
+def test_verify_monad_output_is_byte_identical(model, tmp_path, capsys):
+    path = tmp_path / "sol.json"
+    _golden_solve(model, 1, path)
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == GOLDEN_DIGESTS[model, 1][0])
+    capsys.readouterr()
+    for flags, digest in zip(([], ["--full"]), GOLDEN_VERIFY_DIGESTS[model]):
+        assert run(["verify-monad", "--data", str(path), *flags]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

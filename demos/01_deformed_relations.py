@@ -10,8 +10,8 @@ hard-coded.
 import numpy as np
 
 from ncadhm import (
-    C4, R4, MoyalModel, ToricModel, NCPolynomial, cocycle_eval,
-    derive_relations, multiply, normal_form, r_matrix,
+    C4, R4, MoyalModel, ToricModel, NCPolynomial, derive_relations,
+    multiply, normal_form, r_matrix,
 )
 from ncadhm.hopf_twist import S1, S2, T1, T1S, VARSIGMA, z, zeta
 
@@ -20,7 +20,7 @@ moyal = MoyalModel(hbar, alpha, beta)
 toric = ToricModel(0.25)
 
 print("== cocycle and R-matrix values ==")
-print("F(t1*, t1)        =", cocycle_eval(moyal, T1S, T1))
+print("F(t1*, t1)        =", moyal.cocycle(T1S, T1))
 print("R(t1*, t1)        =", r_matrix(moyal, T1S, T1))
 print("R(sigma1, sigma3) =", r_matrix(toric, VARSIGMA[0], VARSIGMA[2]))
 

@@ -24,5 +24,5 @@ print(report.summary())
 
 print("\n== compatibility of J with the symmetry models ==")
 print("J^2 defect:", j_squared_residual())
-print("torus weight mismatches under J:", j_weight_residual(0.25))
+print("torus weight mismatches under J:", j_weight_residual())
 print("translation coaction defect under J:", j_moyal_coaction_residual())

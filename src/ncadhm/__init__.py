@@ -12,17 +12,16 @@ __version__ = "1.0.0"
 
 from ._report import Check, Report
 from .star_algebra import (
-    AUX, C4, CP1, CP3, HOPF_TORUS, HOPF_TRANS, MONAD_M, MONAD_N, R4, S4,
-    Coefficient, GeneratorId, Monomial, NCPolynomial, RelationSystem,
-    MissingCalculus, NonConfluent, NonTerminating, StarAlgebraError,
-    UnknownGenerator, adjoint, differential, multiply, normal_form,
-    reduce_modulo,
+    AUX, C4, CP3, HOPF_TORUS, HOPF_TRANS, MONAD_M, R4, S4, Coefficient,
+    GeneratorId, NCPolynomial, RelationSystem, MissingCalculus, NonConfluent,
+    NonTerminating, StarAlgebraError, UnknownGenerator, adjoint, differential,
+    multiply, normal_form, reduce_modulo,
 )
 from .hopf_twist import (
     ClassicalModel, MissingCoaction, ModelMismatch, MoyalModel, ToricModel,
-    TorusMonomial, TransMonomial, TwistModel, cocycle_eval,
-    coordinate_smash_relations, derive_relations, model_from_json, r_matrix,
-    smash_relations, twist_product,
+    TorusMonomial, TransMonomial, TwistModel, coordinate_smash_relations,
+    derive_relations, model_from_json, r_matrix, smash_relations,
+    twist_product,
 )
 from .twistor import (
     QuotientContext, apply_J, j_squared_residual, verify_embeddings,

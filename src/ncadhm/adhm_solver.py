@@ -34,10 +34,17 @@ class NotASolution(Exception):
     pass
 
 
+LM_DAMPING = 1e-3            # initial Levenberg-Marquardt damping
+MODULI_RESIDUAL_TOL = 1e-10  # largest residual moduli_dimension accepts
+MODULI_RANK_FACTOR = 1e-7    # rank cut, relative to the largest singular value
+GAUGE_STARTS = 6             # gauge_distance starts, the first two fixed
+GAUGE_SEED = 0               # seed of the random gauge_distance starts
+GAUGE_ITERATIONS = 300       # descent steps per gauge_distance start
+
+
 @dataclass
 class SolveConfig:
     max_iterations: int = 200
-    damping: float = 1e-3
     tolerance: float = 1e-12
     multistarts: int = 8
     rng_seed: int = 0
@@ -115,7 +122,7 @@ def constraint_jacobian(data: ADHMData) -> np.ndarray:
 # -- Levenberg-Marquardt ---------------------------------------------------------
 
 def _lm_minimize(data: ADHMData, cfg: SolveConfig):
-    lam = cfg.damping
+    lam = LM_DAMPING
     r = residual_vector(data)
     cost = float(r @ r)
     history = [np.sqrt(cost)]
@@ -242,8 +249,7 @@ def _procrustes_init(a: ADHMData, b: ADHMData):
     return _dag(U @ Vh)
 
 
-def gauge_distance(a: ADHMData, b: ADHMData, multistarts: int = 6,
-                   rng_seed: int = 0, iterations: int = 300) -> float:
+def gauge_distance(a: ADHMData, b: ADHMData) -> float:
     """min over U(k) of the summed Frobenius distance between a and g . b.
 
     Nelder-Mead-free: damped Gauss-Newton on the k^2 gauge parameters from
@@ -253,7 +259,7 @@ def gauge_distance(a: ADHMData, b: ADHMData, multistarts: int = 6,
         raise ShapeError("gauge distance needs matching k and model")
     k = a.k
     n = k * k
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(GAUGE_SEED)
     starts = [np.zeros(n)]
     try:
         g0 = _procrustes_init(a, b)
@@ -268,7 +274,7 @@ def gauge_distance(a: ADHMData, b: ADHMData, multistarts: int = 6,
         starts.append(np.array(x0))
     except np.linalg.LinAlgError:
         pass
-    for _ in range(multistarts - len(starts)):
+    for _ in range(GAUGE_STARTS - len(starts)):
         starts.append(rng.standard_normal(n) * np.pi / 2)
 
     best = np.inf
@@ -276,7 +282,7 @@ def gauge_distance(a: ADHMData, b: ADHMData, multistarts: int = 6,
         x = x.copy()
         f = _gauge_objective(a, b, _unitary_from_params(x, k))
         step = 0.5
-        for _ in range(iterations):
+        for _ in range(GAUGE_ITERATIONS):
             grad = np.zeros(n)
             eps = 1e-6
             for i in range(n):
@@ -348,17 +354,16 @@ def _frame_tangent_vectors(data: ADHMData) -> np.ndarray:
     return np.array(rows)
 
 
-def moduli_dimension(data: ADHMData, residual_tol: float = 1e-10,
-                     rank_factor: float = 1e-7) -> JacobianAnalysis:
+def moduli_dimension(data: ADHMData) -> JacobianAnalysis:
     """Null-space dimensions of the constraint map at a solution."""
-    if _residual_sum(data) > residual_tol:
-        raise NotASolution(
-            f"residual {_residual_sum(data):.3e} above {residual_tol:.1e}")
+    if _residual_sum(data) > MODULI_RESIDUAL_TOL:
+        raise NotASolution(f"residual {_residual_sum(data):.3e} above "
+                           f"{MODULI_RESIDUAL_TOL:.1e}")
     k = data.k
     Jm = constraint_jacobian(data)
     sv = np.linalg.svd(Jm, compute_uv=False)
     smax = sv[0] if len(sv) else 0.0
-    thr = rank_factor * smax
+    thr = MODULI_RANK_FACTOR * smax
     rank = int(np.sum(sv >= thr)) if smax > 0 else 0
     nvars = 4 * k * k + 8 * k
     raw_nullity = nvars - rank

@@ -47,9 +47,7 @@ def _model_from_args(args) -> object:
         return ClassicalModel()
     if name == "moyal":
         return MoyalModel(args.hbar, args.alpha, args.beta)
-    if name == "toric":
-        return ToricModel(args.theta)
-    raise ModelMismatch(f"unknown model {name!r}")
+    return ToricModel(args.theta)
 
 
 def _positive_int(text) -> int:
@@ -81,10 +79,10 @@ def _finite_float(text) -> float:
 def _add_model_flags(p):
     p.add_argument("--model", required=True,
                    choices=["classical", "moyal", "toric"])
-    p.add_argument("--hbar", type=float, default=0.0)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--theta", type=float, default=0.0)
+    p.add_argument("--hbar", type=_finite_float, default=0.0)
+    p.add_argument("--alpha", type=_finite_float, default=1.0)
+    p.add_argument("--beta", type=_finite_float, default=1.0)
+    p.add_argument("--theta", type=_finite_float, default=0.0)
 
 
 def cmd_relations(args) -> int:

@@ -59,9 +59,6 @@ class TransMonomial:
         a, b, c, d = self.exps
         return TransMonomial((b, a, d, c))
 
-    def antipode_sign(self):
-        return (-1) ** self.degree()
-
     def coproduct(self):
         """All splittings with multinomial weights: Delta(t) = 1 x t + t x 1."""
         return _trans_coproduct(self.exps)
@@ -80,9 +77,6 @@ class TorusMonomial:
     """Group-like monomial s1^m s2^n (integer powers) in the torus algebra."""
 
     exps: tuple = (0, 0)
-
-    def degree(self):
-        return sum(abs(e) for e in self.exps)
 
     def is_unit(self):
         return self.exps == (0, 0)
@@ -237,6 +231,8 @@ class MoyalModel(TwistModel):
     kind = "moyal"
 
     def __init__(self, hbar, alpha=1.0, beta=1.0):
+        if not all(map(math.isfinite, (hbar, alpha, beta))):
+            raise ModelMismatch("hbar, alpha and beta must be finite")
         if hbar < 0:
             raise ModelMismatch("hbar must be >= 0")
         if hbar > 0 and (alpha == 0 or beta == 0 or alpha + beta == 0):
@@ -314,9 +310,6 @@ class MoyalModel(TwistModel):
     def hopf_letters(self):
         return (GeneratorId(HOPF_TRANS, 1), GeneratorId(HOPF_TRANS, 1, True),
                 GeneratorId(HOPF_TRANS, 2), GeneratorId(HOPF_TRANS, 2, True))
-
-    def hopf_unit(self):
-        return TRANS_UNIT
 
     def tilde_decompose(self, j, h):
         if j == 1:
@@ -421,11 +414,6 @@ def model_from_json(obj) -> TwistModel:
 
 
 # -- cocycle / R-matrix operations -------------------------------------------
-
-def cocycle_eval(model: TwistModel, h, g) -> Coefficient:
-    """Bicharacter extension of the generator cocycle values."""
-    return model.cocycle(h, g)
-
 
 def r_matrix(model: TwistModel, h, g) -> Coefficient:
     """R(h, g) = F(g1, h1) F^{-1}(h2, g2), convolution over coproducts."""
@@ -697,8 +685,8 @@ def _pair_rules(model, gens):
     return rules
 
 
-def derive_relations(model: TwistModel, space, k=1, calculus=True,
-                     validate=True) -> RelationSystem:
+def derive_relations(model: TwistModel, space, k=1,
+                     calculus=True) -> RelationSystem:
     """Derive the rewrite system of one twisted algebra from the cocycle.
 
     ``space`` may be a single ambient tag or a tuple of tags (the twisted
@@ -711,8 +699,7 @@ def derive_relations(model: TwistModel, space, k=1, calculus=True,
         gens.update(model.generators(s, k=k, calculus=calculus))
     rel = RelationSystem(gens, _pair_rules(model, gens), theta=model.theta,
                          meta={"model": model.kind, "space": "+".join(spaces)})
-    if validate:
-        _validate(rel)
+    _validate(rel)
     return rel
 
 
@@ -728,9 +715,8 @@ def hopf_letter_monomial(hg: GeneratorId):
     raise ModelMismatch(f"{hg} is not a Hopf letter")
 
 
-def smash_relations(model: TwistModel, space=MONAD_M, k=1,
-                    include_coordinates=True, include_monad=True,
-                    validate=True) -> RelationSystem:
+def smash_relations(model: TwistModel, k=1, include_coordinates=True,
+                    include_monad=True, validate=True) -> RelationSystem:
     """Joint rewrite system of the smash product (algebra (x) Hopf letters).
 
     Monad letters obey their twisted relations, Hopf letters act on them via

@@ -23,7 +23,7 @@ import numpy as np
 from ._report import Check, Report
 from .hopf_twist import ModelMismatch, TwistModel, smash_relations
 from .monad import (
-    ADHMData, MonadMatrices, PolyMatrix, ShapeError, _dag,
+    SYMBOLIC_TOL, ADHMData, MonadMatrices, PolyMatrix, ShapeError, _dag,
     bosonise_j_map, bosonise_monad, build_monad, monad_m,
 )
 from .star_algebra import (
@@ -41,6 +41,7 @@ class QuadratureBudgetExceeded(Exception):
 
 
 SINGULAR_CUTOFF = 1e-10
+QUADRATURE_MAX_POINTS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -241,8 +242,6 @@ def finite_difference_curvature(data: ADHMData, x: PointR4, step=1e-5):
 @dataclass
 class QuadratureSpec:
     resolution: int = 12
-    radial_scale: float | None = None
-    max_points: int = 5_000_000
 
     def node_counts(self):
         r = self.resolution
@@ -259,8 +258,7 @@ def _density(m: MonadMatrices, z1, z2):
     return -np.real(t) / (4 * np.pi ** 2)
 
 
-def charge(data: ADHMData, quad: QuadratureSpec | None = None,
-           center=(0.0, 0.0)) -> float:
+def charge(data: ADHMData, quad: QuadratureSpec | None = None) -> float:
     """Quadrature of the charge density over the plane.
 
     Product rule: mapped Gauss-Legendre radially, Gauss-Legendre in the two
@@ -269,10 +267,10 @@ def charge(data: ADHMData, quad: QuadratureSpec | None = None,
     _require_classical(data)
     quad = quad or QuadratureSpec()
     n_r, n_t1, n_t2, n_p = quad.node_counts()
-    if n_r * n_t1 * n_t2 * n_p > quad.max_points:
+    if n_r * n_t1 * n_t2 * n_p > QUADRATURE_MAX_POINTS:
         raise QuadratureBudgetExceeded(
-            f"{n_r * n_t1 * n_t2 * n_p} points exceed {quad.max_points}")
-    scale = quad.radial_scale or _charge_scale(data)
+            f"{n_r * n_t1 * n_t2 * n_p} points exceed {QUADRATURE_MAX_POINTS}")
+    scale = _charge_scale(data)
 
     xs, ws = np.polynomial.legendre.leggauss(n_r)
     s = 0.5 * (xs + 1.0)
@@ -296,9 +294,8 @@ def charge(data: ADHMData, quad: QuadratureSpec | None = None,
     omega2 = (np.sin(T1) * np.sin(T2)
               * (np.cos(PH) + 1j * np.sin(PH))).ravel()
     total = 0.0
-    c1, c2 = center
     for ri, dri in zip(r, dr):
-        q = _density(m, ri * omega1 + c1, ri * omega2 + c2)
+        q = _density(m, ri * omega1, ri * omega2)
         total += dri * ri ** 3 * float(np.sum(q * W))
     return float(total)
 
@@ -315,8 +312,7 @@ def _charge_scale(data: ADHMData) -> float:
 RHO2_INV = GeneratorId(AUX, 1)
 
 
-def symbolic_projector_checks(data: ADHMData, model: TwistModel | None = None,
-                              tol: float = 1e-10) -> Report:
+def symbolic_projector_checks(data: ADHMData) -> Report:
     """The four smash-algebra identities behind the deformed projector.
 
     (1) the monad pairing tau sigma vanishes (via the self-conjugate
@@ -327,8 +323,9 @@ def symbolic_projector_checks(data: ADHMData, model: TwistModel | None = None,
     of rho2 adjoined, Q^2 - Q reduces to zero.  The last check uses a
     scalar inverse and is emitted for index-one data only.
     """
-    model = model or data.model
+    model = data.model
     theta = model.theta
+    tol = SYMBOLIC_TOL
     m = build_monad(data)
     sigma, tau, rel = bosonise_monad(m, model)
     sigma_j = bosonise_j_map(m, model)

@@ -31,9 +31,7 @@ C4 = "C4"
 R4 = "R4"
 S4 = "S4"
 CP3 = "CP3"
-CP1 = "CP1"
 MONAD_M = "MonadM"
-MONAD_N = "MonadN"
 HOPF_TRANS = "HopfTrans"
 HOPF_TORUS = "HopfTorus"
 AUX = "Aux"
@@ -42,8 +40,8 @@ AUX = "Aux"
 # push them leftmost; Hopf letters sort above algebra letters so that smash
 # words normal-order as (algebra part) * (Hopf part).
 _SPACE_RANK = {
-    AUX: -1, C4: 0, R4: 1, S4: 2, CP3: 3, CP1: 4,
-    MONAD_M: 5, MONAD_N: 6, HOPF_TRANS: 7, HOPF_TORUS: 8,
+    AUX: -1, C4: 0, R4: 1, S4: 2, CP3: 3, MONAD_M: 4, HOPF_TRANS: 5,
+    HOPF_TORUS: 6,
 }
 
 
@@ -72,7 +70,6 @@ _CP3_NAMES = {1: "a1", 2: "a2", 3: "a3", 4: "a4",
               5: "u1", 6: "u2", 7: "u3", 8: "v1", 9: "v2", 10: "v3",
               -1: "inv(a1+a2)"}
 _S4_NAMES = {0: "x0", 1: "x1", 2: "x2", -1: "inv(1+x0)"}
-_CP1_NAMES = {1: "ta1", 2: "ta2", 3: "tu1"}
 _R4_NAMES = {1: "zeta1", 2: "zeta2", -1: "inv(1+|zeta|2)"}
 
 
@@ -122,12 +119,8 @@ class GeneratorId:
             base = _S4_NAMES.get(self.index, f"x{self.index}")
         elif self.space == CP3:
             base = _CP3_NAMES.get(self.index, f"q{self.index}")
-        elif self.space == CP1:
-            base = _CP1_NAMES.get(self.index, f"c{self.index}")
         elif self.space == MONAD_M:
             base = f"M{self.index}[{self.row},{self.col}]"
-        elif self.space == MONAD_N:
-            base = f"N{self.index}[{self.row},{self.col}]"
         elif self.space == HOPF_TRANS:
             base = f"t{self.index}"
         elif self.space == HOPF_TORUS:
@@ -184,8 +177,8 @@ class Coefficient:
             v *= cmath.exp(0.5j * cmath.pi * theta * self.mu2)
         return v
 
-    def is_zero(self, tol: float = TOL) -> bool:
-        return abs(self.value) <= tol
+    def is_zero(self) -> bool:
+        return abs(self.value) <= TOL
 
     def __pow__(self, n: int) -> "Coefficient":
         return Coefficient(self.value ** n, self.hbar * n, self.mu2 * n)
@@ -207,20 +200,6 @@ class Coefficient:
         if self.mu2:
             s += f"*mu^{self.mu_power}"
         return s
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """A word of generators; normal-form words are sorted per the system order."""
-
-    word: tuple
-
-    @property
-    def total_grade(self) -> int:
-        return sum(g.grade for g in self.word)
-
-    def label(self) -> str:
-        return "*".join(g.label() for g in self.word) if self.word else "1"
 
 
 class NCPolynomial:
@@ -290,9 +269,6 @@ class NCPolynomial:
     def is_structurally_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        return max((len(w) for (w, _, _) in self.terms), default=0)
-
     def generators(self):
         seen = set()
         for (w, _, _) in self.terms:
@@ -300,11 +276,6 @@ class NCPolynomial:
         return seen
 
     # -- coefficient access -------------------------------------------------
-    def coefficients_of(self, word) -> list:
-        word = tuple(word)
-        return [Coefficient(v, h, m) for (w, h, m), v in self.terms.items()
-                if w == word]
-
     def coefficient(self, word, hbar=0, mu2=0) -> Coefficient:
         v = self.terms.get((tuple(word), hbar, mu2), 0.0)
         return Coefficient(v, hbar, mu2)
@@ -321,10 +292,6 @@ class NCPolynomial:
         vals = self.evaluated_coefficients(theta)
         return sum(abs(v) for v in vals.values())
 
-    def eval_max(self, theta: float | None = None) -> float:
-        vals = self.evaluated_coefficients(theta)
-        return max((abs(v) for v in vals.values()), default=0.0)
-
     # -- rendering ------------------------------------------------------------
     def sorted_terms(self):
         return sorted(self.terms.items(),
@@ -336,7 +303,8 @@ class NCPolynomial:
         parts = []
         for (w, h, m), v in self.sorted_terms():
             c = Coefficient(v, h, m)
-            parts.append(f"{c!r}*{Monomial(w).label()}")
+            text = "*".join(g.label() for g in w) if w else "1"
+            parts.append(f"{c!r}*{text}")
         return " + ".join(parts)
 
     def to_json_dict(self) -> dict:
@@ -634,30 +602,28 @@ def _random_poly(rel, rng, max_deg=3, n_terms=3):
     return p
 
 
-def associativity_residual(rel: RelationSystem, rng, trials: int = 10,
-                           theta: float | None = None) -> float:
+def associativity_residual(rel: RelationSystem, rng,
+                           trials: int = 10) -> float:
     """Largest associativity defect over random triples; the confluence probe."""
     worst = 0.0
-    theta = rel.theta if theta is None else theta
     for _ in range(trials):
         a = _random_poly(rel, rng)
         b = _random_poly(rel, rng)
         c = _random_poly(rel, rng)
         lhs = multiply(multiply(a, b, rel), c, rel)
         rhs = multiply(a, multiply(b, c, rel), rel)
-        worst = max(worst, (lhs - rhs).eval_norm(theta))
+        worst = max(worst, (lhs - rhs).eval_norm(rel.theta))
     return worst
 
 
-def star_closure_residual(rel: RelationSystem, rng, trials: int = 10,
-                          theta: float | None = None) -> float:
+def star_closure_residual(rel: RelationSystem, rng,
+                          trials: int = 10) -> float:
     """Largest defect of adjoint(ab) = adjoint(b) adjoint(a) over samples."""
     worst = 0.0
-    theta = rel.theta if theta is None else theta
     for _ in range(trials):
         a = _random_poly(rel, rng)
         b = _random_poly(rel, rng)
         lhs = adjoint(multiply(a, b, rel), rel)
         rhs = multiply(adjoint(b, rel), adjoint(a, rel), rel)
-        worst = max(worst, (lhs - rhs).eval_norm(theta))
+        worst = max(worst, (lhs - rhs).eval_norm(rel.theta))
     return worst

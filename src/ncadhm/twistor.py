@@ -57,11 +57,20 @@ CP3_E_INV = GeneratorId(CP3, -1)
 R4_INV = GeneratorId(R4, -1)
 
 
+# The projective-space generators: name -> (index, (j, l)), where the
+# generator is identified with q_jl = z_j z_l*.
+_CP3 = {
+    "a1": (1, (1, 1)), "a2": (2, (2, 2)), "a3": (3, (3, 3)),
+    "a4": (4, (4, 4)), "u1": (5, (1, 2)), "u2": (6, (1, 3)),
+    "u3": (7, (1, 4)), "v1": (8, (3, 4)), "v2": (9, (2, 4)),
+    "v3": (10, (2, 3)),
+}
+_CP3_NAME = {idx: name for name, (idx, _) in _CP3.items()}
+
+
 def cp3_gen(name):
-    table = {"a1": 1, "a2": 2, "a3": 3, "a4": 4,
-             "u1": 5, "u2": 6, "u3": 7, "v1": 8, "v2": 9, "v3": 10}
     conj = name.endswith("*")
-    return GeneratorId(CP3, table[name.rstrip("*")], conj)
+    return GeneratorId(CP3, _CP3[name.rstrip("*")][0], conj)
 
 
 _SELF_ADJOINT = {X0: X0, X0_INV: X0_INV, CP3_E_INV: CP3_E_INV,
@@ -115,21 +124,14 @@ def x_images_in_c4() -> dict:
             X2S: (word(z(2, True), z(3)) - word(z(1), z(4, True))).scale(2.0)}
 
 
-# q_jl = z_j z_l* identification of the projective-space generators.
-_CP3_TO_Z = {
-    "a1": (1, 1), "a2": (2, 2), "a3": (3, 3), "a4": (4, 4),
-    "u1": (1, 2), "u2": (1, 3), "u3": (1, 4),
-    "v1": (3, 4), "v2": (2, 4), "v3": (2, 3),
-}
-
-
 def cp3_z_image(g: GeneratorId) -> NCPolynomial:
-    for name, (j, l) in _CP3_TO_Z.items():
-        if cp3_gen(name) == g:
-            return word(z(j), z(l, True))
-        if cp3_gen(name + "*") == g:
-            return word(z(l), z(j, True))
-    raise UnknownGenerator(f"{g} is not a projective-space generator")
+    name = _CP3_NAME.get(g.index)
+    if g.space != CP3 or name is None:
+        raise UnknownGenerator(f"{g} is not a projective-space generator")
+    j, l = _CP3[name][1]
+    if g.conjugated:
+        return word(z(l), z(j, True))
+    return word(z(j), z(l, True))
 
 
 def substitute(p: NCPolynomial, images: dict, target_rel) -> NCPolynomial:
@@ -163,20 +165,13 @@ def j_image(g: GeneratorId):
             out = out.d()
         return sign, out
     if g.space == CP3 and g.index >= 1:
-        name = None
-        for n, idx in (("a1", 1), ("a2", 2), ("a3", 3), ("a4", 4), ("u1", 5),
-                       ("u2", 6), ("u3", 7), ("v1", 8), ("v2", 9), ("v3", 10)):
-            if idx == g.index:
-                name = n
-        sign, img = _J_CP3[name]
+        sign, img = _J_CP3[_CP3_NAME[g.index]]
         img_g = cp3_gen(img)
-        if g.conjugated:
-            img_g = img_g.star() if not img.endswith("*") else cp3_gen(img[:-1])
-        return sign, img_g
+        return sign, img_g.star() if g.conjugated else img_g
     raise UnknownGenerator(f"J is not defined on {g}")
 
 
-def apply_J(p: NCPolynomial, rel=None) -> NCPolynomial:
+def apply_J(p: NCPolynomial) -> NCPolynomial:
     """Linear *-anti-algebra extension of the quaternionic generator table."""
     out = NCPolynomial.zero()
     for (w, h, m), v in p.terms.items():
@@ -338,15 +333,15 @@ def j_squared_residual() -> float:
         for conj in (False, True):
             g = z(j, conj)
             res = max(res, (apply_J(apply_J(word(g))) + word(g)).eval_norm())
-    for name in _CP3_TO_Z:
+    for name in _CP3:
         g = cp3_gen(name)
         res = max(res, (apply_J(apply_J(word(g))) - word(g)).eval_norm())
     return res
 
 
-def j_weight_residual(theta=0.25) -> int:
+def j_weight_residual() -> int:
     """Check that J intertwines the torus coaction (weight bookkeeping)."""
-    model = ToricModel(theta)
+    model = ToricModel(0.25)  # the weights do not depend on theta
     bad = 0
     for j in range(1, 5):
         for conj in (False, True):
@@ -359,9 +354,9 @@ def j_weight_residual(theta=0.25) -> int:
     return bad
 
 
-def j_moyal_coaction_residual(hbar=0.1, alpha=1.0, beta=2.0) -> float:
+def j_moyal_coaction_residual() -> float:
     """Check (id (x) J) Delta = Delta J on the plane generators (translations)."""
-    model = MoyalModel(hbar, alpha, beta)
+    model = MoyalModel(0.1, 1.0, 2.0)  # the coaction does not read these
     worst = 0.0
     for j in range(1, 5):
         for conj in (False, True):

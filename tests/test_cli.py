@@ -140,6 +140,17 @@ def test_nonpositive_count_is_a_usage_error(argv, capsys):
     (["solve", "--k", "1", "--model", "moyal", "--hbar", "0.2",
       "--zeta", "nan"],
      "must be a finite number, got nan"),
+    (["solve", "--k", "1", "--model", "moyal", "--hbar", "nan"],
+     "must be a finite number, got nan"),
+    (["relations", "--model", "moyal", "--hbar", "inf"],
+     "must be a finite number, got inf"),
+    (["solve", "--k", "1", "--model", "moyal", "--hbar", "0.2",
+      "--alpha", "nan"],
+     "must be a finite number, got nan"),
+    (["relations", "--model", "moyal", "--hbar", "0.2", "--beta", "inf"],
+     "must be a finite number, got inf"),
+    (["relations", "--model", "toric", "--theta", "nan"],
+     "must be a finite number, got nan"),
 ])
 def test_bad_tolerance_or_iteration_cap_is_a_usage_error(argv, message,
                                                          capsys):

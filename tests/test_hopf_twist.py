@@ -4,10 +4,9 @@ import pytest
 from ncadhm.hopf_twist import (
     S1, S2, T1, T1S, T2, T2S, TORUS_UNIT, TRANS_UNIT, VARSIGMA,
     ClassicalModel, ModelMismatch, MoyalModel, ToricModel, TorusMonomial,
-    TransMonomial, bicharacter_residual, cocycle_eval,
-    cotriangularity_residual, crossed_module_residual, derive_relations,
-    model_from_json, monad_m, r_matrix, smash_relations, twist_product,
-    two_cocycle_residual, z, zeta,
+    TransMonomial, bicharacter_residual, cotriangularity_residual,
+    crossed_module_residual, derive_relations, model_from_json, monad_m,
+    r_matrix, smash_relations, twist_product, two_cocycle_residual, z, zeta,
 )
 from ncadhm.star_algebra import (
     C4, Coefficient, NCPolynomial, multiply, normal_form,
@@ -28,17 +27,17 @@ def toric():
 
 
 def test_cocycle_generator_values(moyal, toric):
-    assert cocycle_eval(moyal, T1S, T1).approx_eq(
+    assert moyal.cocycle(T1S, T1).approx_eq(
         Coefficient(0.5j * HBAR * ALPHA, 1))
-    assert cocycle_eval(moyal, T2S, T2).approx_eq(
+    assert moyal.cocycle(T2S, T2).approx_eq(
         Coefficient(-0.5j * HBAR * BETA, 1))
     # unital cocycle
-    assert cocycle_eval(moyal, T1, TRANS_UNIT).approx_eq(Coefficient(0.0))
-    assert cocycle_eval(moyal, TRANS_UNIT, TRANS_UNIT).approx_eq(
+    assert moyal.cocycle(T1, TRANS_UNIT).approx_eq(Coefficient(0.0))
+    assert moyal.cocycle(TRANS_UNIT, TRANS_UNIT).approx_eq(
         Coefficient(1.0))
     # torus: F(s1,s2) F(s2,s1) = 1 and eta_13 = F^-2(s1, s2) = mu
-    f12 = cocycle_eval(toric, S1, S2)
-    f21 = cocycle_eval(toric, S2, S1)
+    f12 = toric.cocycle(S1, S2)
+    f21 = toric.cocycle(S2, S1)
     assert (f12 * f21).approx_eq(Coefficient(1.0))
     assert toric.eta(1, 3).approx_eq(Coefficient(1.0, mu2=2))
 
@@ -277,13 +276,23 @@ def test_model_validation():
         model_from_json({"model": "nope"})
 
 
+@pytest.mark.parametrize("params", [
+    (float("nan"), 1.0, 1.0), (float("inf"), 1.0, 1.0),
+    (0.1, float("nan"), 1.0), (0.1, 1.0, float("-inf")),
+    (0.0, float("nan"), 1.0),
+])
+def test_moyal_model_rejects_non_finite_parameters(params):
+    with pytest.raises(ModelMismatch, match="must be finite"):
+        MoyalModel(*params)
+
+
 def test_missing_coaction_and_mismatch(moyal, toric):
-    from ncadhm.hopf_twist import MissingCoaction, cocycle_eval
+    from ncadhm.hopf_twist import MissingCoaction
     from ncadhm.star_algebra import GeneratorId, R4
     with pytest.raises(MissingCoaction):
         toric.coaction(GeneratorId(R4, -1))  # localisation inverse
     with pytest.raises(ModelMismatch):
-        cocycle_eval(moyal, S1, S2)  # torus monomials fed to translations
+        moyal.cocycle(S1, S2)  # torus monomials fed to translations
 
 
 def test_solve_config_validation():

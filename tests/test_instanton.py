@@ -183,7 +183,7 @@ def test_charge_budget():
     d.I[0, 0] = 1.0
     d.J[1, 0] = 1.0
     with pytest.raises(QuadratureBudgetExceeded):
-        charge(d, QuadratureSpec(resolution=80, max_points=1000))
+        charge(d, QuadratureSpec(resolution=80))
 
 
 @pytest.mark.parametrize("model,seed", [

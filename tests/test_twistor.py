@@ -57,7 +57,7 @@ def test_verify_embeddings_all_pass():
 
 
 def test_j_intertwines_coactions():
-    assert j_weight_residual(theta=0.25) == 0
+    assert j_weight_residual() == 0
     assert j_moyal_coaction_residual() == 0.0
 
 

@@ -25,7 +25,7 @@ print("(the surviving constant shift is exactly i hbar (alpha + beta))")
 
 print("\n== tilde generators commute inside the smash product ==")
 for model in (moyal, toric):
-    rep = tilde_subalgebra_check(model, k=1)
+    rep = tilde_subalgebra_check(model)
     print(f"  {model.kind}: " + rep.summary().replace("\n", " | "))
 
 print("\n== full projector checks on solved data ==")

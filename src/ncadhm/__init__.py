@@ -19,9 +19,8 @@ from .star_algebra import (
 )
 from .hopf_twist import (
     ClassicalModel, MissingCoaction, ModelMismatch, MoyalModel, ToricModel,
-    TorusMonomial, TransMonomial, TwistModel, coordinate_smash_relations,
-    derive_relations, model_from_json, r_matrix, smash_relations,
-    twist_product,
+    TorusMonomial, TransMonomial, TwistModel, derive_relations,
+    model_from_json, r_matrix, smash_relations, twist_product,
 )
 from .twistor import (
     QuotientContext, apply_J, j_squared_residual, verify_embeddings,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -22,8 +23,8 @@ from .adhm_solver import (
     NoConvergence, NotASolution, SolveConfig, moduli_dimension, solve,
 )
 from .instanton import (
-    PointR4, QuadratureSpec, SingularRho, charge, curvature_samples,
-    symbolic_projector_checks,
+    QUADRATURE_MAX_POINTS, PointR4, QuadratureSpec, SingularRho, charge,
+    curvature_samples, symbolic_projector_checks,
 )
 from .monad import (
     ADHMData, ShapeError, adhm_residual, build_monad, monad_residual,
@@ -42,12 +43,17 @@ def _emit(obj, path=None):
 
 
 def _model_from_args(args) -> object:
-    name = args.model
-    if name == "classical":
-        return ClassicalModel()
-    if name == "moyal":
-        return MoyalModel(args.hbar, args.alpha, args.beta)
-    return ToricModel(args.theta)
+    try:
+        if args.model == "classical":
+            return ClassicalModel()
+        if args.model == "moyal":
+            return MoyalModel(args.hbar, args.alpha, args.beta)
+        return ToricModel(args.theta)
+    except ModelMismatch as exc:
+        # a constructor's range error opens with the name of the parameter,
+        # which is also the name of its flag
+        flag = str(exc).split()[0]
+        raise ModelMismatch(f"argument --{flag}: {exc}") from exc
 
 
 def _positive_int(text) -> int:
@@ -64,6 +70,16 @@ def _positive_float(text) -> float:
     if not 0 < value < float("inf"):
         raise argparse.ArgumentTypeError(
             f"must be a positive finite number, got {text}")
+    return value
+
+
+def _resolution(text) -> int:
+    """argparse type for a charge quadrature resolution within the budget."""
+    value = _positive_int(text)
+    points = math.prod(QuadratureSpec(resolution=value).node_counts())
+    if points > QUADRATURE_MAX_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"{points} quadrature points exceed {QUADRATURE_MAX_POINTS}")
     return value
 
 
@@ -246,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("charge", help="topological charge by quadrature")
     p.add_argument("--data", required=True)
-    p.add_argument("--resolution", type=_positive_int, default=12)
+    p.add_argument("--resolution", type=_resolution, default=12)
     p.add_argument("--out")
     p.set_defaults(func=cmd_charge)
 

@@ -208,6 +208,10 @@ class TwistModel:
         """
         return [(1.0, j, h)]
 
+    def tilde_words(self, j):
+        """Expansion ``[(coeff, s, h)]`` of ``Mtilde^j`` over ``M^s (x) h``."""
+        return [(1.0, j, self.hopf_unit())]
+
     def to_json_dict(self):
         return {"model": self.kind}
 
@@ -233,10 +237,14 @@ class MoyalModel(TwistModel):
     def __init__(self, hbar, alpha=1.0, beta=1.0):
         if not all(map(math.isfinite, (hbar, alpha, beta))):
             raise ModelMismatch("hbar, alpha and beta must be finite")
+        # range errors open with the parameter's name, which the CLI
+        # turns into the name of its flag
         if hbar < 0:
             raise ModelMismatch("hbar must be >= 0")
-        if hbar > 0 and (alpha == 0 or beta == 0 or alpha + beta == 0):
-            raise ModelMismatch("need alpha, beta, alpha+beta nonzero")
+        if hbar > 0 and alpha == 0:
+            raise ModelMismatch("alpha must be nonzero")
+        if hbar > 0 and (beta == 0 or alpha + beta == 0):
+            raise ModelMismatch("beta must be nonzero and differ from -alpha")
         self.hbar = float(hbar)
         self.alpha = float(alpha)
         self.beta = float(beta)
@@ -318,6 +326,35 @@ class MoyalModel(TwistModel):
             return [(1.0, 2, h), (-0.5, 3, T2S * h), (-0.5, 4, T1 * h)]
         return [(1.0, j, h)]
 
+    def tilde_words(self, j):
+        if j == 1:
+            return [(1.0, 1, TRANS_UNIT), (0.5, 3, T1S), (-0.5, 4, T2)]
+        if j == 2:
+            return [(1.0, 2, TRANS_UNIT), (0.5, 3, T2S), (0.5, 4, T1)]
+        return [(1.0, j, TRANS_UNIT)]
+
+    def primed_action(self, hm, j, conj):
+        """``hm |>' Mtilde^j`` (conjugated when ``conj``) as ``[(coeff, s)]``.
+
+        The t1-family maps the first tilde generator to the third and the
+        second to the fourth; the t2-family crosses them over.
+        """
+        if hm.is_unit():
+            return [(Coefficient(1.0), j)]
+        h, al, be = self.hbar, self.alpha, self.beta
+        table = {
+            (T1, 1, False): (Coefficient(1j * h * al, 1), 3),
+            (T1S, 1, True): (Coefficient(-1j * h * al, 1), 3),
+            (T1S, 2, False): (Coefficient(-1j * h * al, 1), 4),
+            (T1, 2, True): (Coefficient(1j * h * al, 1), 4),
+            (T2S, 1, False): (Coefficient(-1j * h * be, 1), 4),
+            (T2, 1, True): (Coefficient(1j * h * be, 1), 4),
+            (T2, 2, False): (Coefficient(-1j * h * be, 1), 3),
+            (T2S, 2, True): (Coefficient(1j * h * be, 1), 3),
+        }
+        hit = table.get((hm, j, conj))
+        return [hit] if hit else []
+
     def to_json_dict(self):
         return {"model": "moyal", "hbar": self.hbar,
                 "alpha": self.alpha, "beta": self.beta}
@@ -395,6 +432,18 @@ class ToricModel(TwistModel):
         if j in (1, 2):
             return [(1.0, j, VARSIGMA[j - 1].star() * h)]
         return [(1.0, j, h)]
+
+    def tilde_words(self, j):
+        if j in (1, 2):
+            return [(1.0, j, VARSIGMA[j - 1])]
+        return [(1.0, j, TORUS_UNIT)]
+
+    def primed_action(self, hm, j, conj):
+        """varsigma_l |>' Mtilde^j = eta_{lj} Mtilde^j (conjugates flipped)."""
+        w = VARSIGMA[j - 1]
+        if conj:
+            w = w.star()
+        return [(r_matrix(self, w.star(), hm), j)]
 
     def to_json_dict(self):
         return {"model": "toric", "theta": self._theta}
@@ -715,17 +764,19 @@ def hopf_letter_monomial(hg: GeneratorId):
     raise ModelMismatch(f"{hg} is not a Hopf letter")
 
 
-def smash_relations(model: TwistModel, k=1, include_coordinates=True,
-                    include_monad=True, validate=True) -> RelationSystem:
+def smash_relations(model: TwistModel, k=1,
+                    include_monad=True) -> RelationSystem:
     """Joint rewrite system of the smash product (algebra (x) Hopf letters).
 
-    Monad letters obey their twisted relations, Hopf letters act on them via
-    the canonical action, coordinate letters (when included) commute with
-    both, as in the bosonised picture.  Unlisted pairs commute.
+    Monad letters (unless left out) obey their twisted relations, Hopf
+    letters act on them via the canonical action, coordinate letters commute
+    with both, as in the bosonised picture.  Unlisted pairs commute.  Without
+    monad letters this is the home of the bosonised monad maps with numeric
+    entries.
     """
     hopf = list(model.hopf_letters())
     mon = list(model.generators(MONAD_M, k=k)) if include_monad else []
-    coords = list(model.generators(C4, calculus=False)) if include_coordinates else []
+    coords = list(model.generators(C4, calculus=False))
     gens = mon + coords + hopf
     rules = _pair_rules(model, mon)
     rules.update(_pair_rules(model, coords))
@@ -758,17 +809,5 @@ def smash_relations(model: TwistModel, k=1, include_coordinates=True,
                 if c.mu2 or abs(c.value - 1.0) > 1e-14:
                     rules[(hg, a)] = (((a, hg), c),)
 
-    rel = RelationSystem(gens, rules, theta=model.theta,
-                         meta={"model": model.kind, "space": "smash", "k": k})
-    if validate:
-        _validate(rel)
-    return rel
-
-
-def coordinate_smash_relations(model: TwistModel, validate=True):
-    """Hopf letters plus deformed coordinates, no monad letters.
-
-    This is the home of the bosonised monad maps with numeric entries.
-    """
-    return smash_relations(model, include_monad=False,
-                           include_coordinates=True, validate=validate)
+    return RelationSystem(gens, rules, theta=model.theta,
+                          meta={"model": model.kind, "space": "smash", "k": k})

@@ -21,14 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._report import Check, Report
-from .hopf_twist import ModelMismatch, TwistModel, smash_relations
+from .hopf_twist import ModelMismatch, TwistModel, smash_relations, z
 from .monad import (
     SYMBOLIC_TOL, ADHMData, MonadMatrices, PolyMatrix, ShapeError, _dag,
     bosonise_j_map, bosonise_monad, build_monad, monad_m,
 )
 from .star_algebra import (
-    AUX, MONAD_M, GeneratorId, NCPolynomial, RelationSystem, adjoint,
-    multiply, normal_form, reduce_modulo,
+    AUX, MONAD_M, GeneratorId, NCPolynomial, RelationSystem, multiply,
+    normal_form, reduce_modulo,
 )
 
 
@@ -358,19 +358,19 @@ def _centrality_residual(model: TwistModel, k: int) -> float:
     symbolic generators commute with all of them (for the torus model this
     is the zero-net-weight bookkeeping).
     """
-    rel = smash_relations(model, k=k, include_coordinates=True,
-                          validate=False)
-    from .hopf_twist import z as z_gen
+    rel = smash_relations(model, k=k)
 
-    def sym(j, a, b):
+    def sym(a, b):
+        """sum_j M^j_ab (x) (coaction of z_j), the (a, b) entry of sigma."""
         out = NCPolynomial.zero()
-        for c, hm, x in model.coaction(z_gen(j)):
-            out = out + NCPolynomial.from_word(
-                (monad_m(j, a, b),) + hm.letters() + (x,), c)
+        for j in range(1, 5):
+            for c, hm, x in model.coaction(z(j)):
+                out = out + NCPolynomial.from_word(
+                    (monad_m(j, a, b),) + hm.letters() + (x,), c)
         return normal_form(out, rel)
 
     def dressed_coordinate(j, conj=False):
-        g = z_gen(j, conj)
+        g = z(j, conj)
         out = NCPolynomial.zero()
         for c, hm, x in model.coaction(g):
             out = out + NCPolynomial.from_word(hm.letters() + (x,), c)
@@ -382,17 +382,11 @@ def _centrality_residual(model: TwistModel, k: int) -> float:
         test_elements.append(dressed_coordinate(j))
         test_elements.append(dressed_coordinate(j, conj=True))
 
+    S = PolyMatrix([[sym(a, b) for b in range(1, k + 1)]
+                    for a in range(1, 2 * k + 3)])
     worst = 0.0
-    n = 2 * k + 2
-    for b in range(1, k + 1):
-        for bp in range(1, k + 1):
-            rho = NCPolynomial.zero()
-            for a in range(1, n + 1):
-                for j in range(1, 5):
-                    for l in range(1, 5):
-                        col = sym(l, a, bp)
-                        rowstar = adjoint(sym(j, a, b), rel)
-                        rho = rho + multiply(rowstar, col, rel)
+    for row in S.adjoint(rel).matmul(S, rel).entries:
+        for rho in row:
             for gp in test_elements:
                 comm = multiply(rho, gp, rel) - multiply(gp, rho, rel)
                 worst = max(worst, comm.eval_norm(model.theta))
@@ -417,50 +411,29 @@ def _projector_idempotency_residual(sigma, sigma_j, rho2_mat, rel, theta):
                           meta=rel.meta)
     rinv = NCPolynomial.from_word((RHO2_INV,))
 
-    n = sigma.shape[0]
-    blocks = [sigma, sigma_j]
-    stars = [b.adjoint(rel2) for b in blocks]
+    def left(c, M):
+        return M.map(lambda p: multiply(c, p, rel2))
 
-    def qmat():
-        Q = [[NCPolynomial.zero() for _ in range(n)] for _ in range(n)]
-        for blk, bstar in zip(blocks, stars):
-            for a in range(n):
-                for b in range(n):
-                    Q[a][b] = Q[a][b] + multiply(
-                        blk.entries[a][0],
-                        multiply(rinv, bstar.entries[0][b], rel2), rel2)
-        return PolyMatrix(Q)
+    V = PolyMatrix([[sigma.entries[a][0], sigma_j.entries[a][0]]
+                    for a in range(sigma.shape[0])])
+    Vd = V.adjoint(rel2)
+    Q = V.matmul(left(rinv, Vd), rel2)
+    E1 = Q.matmul(Q, rel2) - Q
 
-    Qm = qmat()
-    E1 = Qm.matmul(Qm, rel2) - Qm
-
-    # D_{bc} = (V*V - rho2 1)_{bc}
-    D = [[normal_form(sum((multiply(stars[b].entries[0][a],
-                                    blocks[c].entries[a][0], rel2)
-                           for a in range(n)), NCPolynomial.zero())
-                      - (rho2 if b == c else NCPolynomial.zero()), rel2)
-          for c in range(2)] for b in range(2)]
-
-    sandwich = [[NCPolynomial.zero() for _ in range(n)] for _ in range(n)]
-    for b in range(2):
-        for c in range(2):
-            core = multiply(rinv, multiply(D[b][c], rinv, rel2), rel2)
-            for a in range(n):
-                for ap in range(n):
-                    sandwich[a][ap] = sandwich[a][ap] + multiply(
-                        blocks[b].entries[a][0],
-                        multiply(core, stars[c].entries[0][ap], rel2), rel2)
-    sandwich = PolyMatrix(sandwich)
+    zero = NCPolynomial.zero()
+    D = (Vd.matmul(V, rel2) - PolyMatrix([[rho2, zero], [zero, rho2]])).map(
+        lambda p: normal_form(p, rel2))
+    core = D.map(lambda p: multiply(rinv, multiply(p, rinv, rel2), rel2))
+    # sum over the (b, c) pairs in this order of V_ab (core_bc V+_c), as one
+    # n x 4 by 4 x n product: grouped as V (core V+) it rounds differently
+    pairs = [(b, c) for b in range(2) for c in range(2)]
+    v_pairs = PolyMatrix([[row[b] for b, _ in pairs] for row in V.entries])
+    core_vd = PolyMatrix([[multiply(core.entries[b][c], p, rel2)
+                           for p in Vd.entries[c]] for b, c in pairs])
+    sandwich = v_pairs.matmul(core_vd, rel2)
 
     X = multiply(rinv, multiply(rho2, rinv, rel2), rel2) - rinv
-    inner = [[NCPolynomial.zero() for _ in range(n)] for _ in range(n)]
-    for b in range(2):
-        for a in range(n):
-            for ap in range(n):
-                inner[a][ap] = inner[a][ap] + multiply(
-                    blocks[b].entries[a][0],
-                    multiply(X, stars[b].entries[0][ap], rel2), rel2)
-    inner = PolyMatrix(inner)
+    inner = V.matmul(left(X, Vd), rel2)
 
     # structural identity: raw coefficients, no parameter evaluation
     struct = 0.0

@@ -17,12 +17,11 @@ import numpy as np
 
 from ._report import Check, Report
 from .hopf_twist import (
-    TwistModel, coordinate_smash_relations, hopf_letter_monomial,
-    model_from_json, monad_m, smash_relations, z,
+    TwistModel, hopf_letter_monomial, model_from_json, monad_m,
+    smash_relations, z,
 )
 from .star_algebra import (
-    Coefficient, NCPolynomial, StarAlgebraError, adjoint, multiply,
-    normal_form,
+    NCPolynomial, StarAlgebraError, adjoint, multiply, normal_form,
 )
 
 
@@ -31,8 +30,10 @@ class ShapeError(StarAlgebraError):
 
 
 SYMBOLIC_TOL = 1e-10
-# Seed and count of the sampled (Hopf letter, tilde generator) pairs on
+# Index of the monad letters that the tilde generators are built from, and
+# seed and count of the sampled (Hopf letter, tilde generator) pairs on
 # which tilde_subalgebra_check tests the smash isomorphism.
+_TILDE_K = 1
 _PHI_SEED = 7
 _PHI_SAMPLES = 24
 
@@ -282,7 +283,7 @@ def bosonise_monad(m: MonadMatrices, model: TwistModel, tilde_basis=True):
     without it they multiply the raw coaction legs.  Returns
     ``(sigma, tau, rel)``.
     """
-    rel = coordinate_smash_relations(model, validate=False)
+    rel = smash_relations(model, include_monad=False)
     sigma = _dressed_map(m.M, model, _z_letters(), tilde_basis,
                          (2 * m.k + 2, m.k)).map(lambda p: normal_form(p, rel))
     tau = _dressed_map(m.N, model, _z_letters(), tilde_basis,
@@ -323,7 +324,7 @@ def bosonise_j_map(m: MonadMatrices, model: TwistModel, tilde_basis=True):
     For self-conjugate data this coincides with the adjoint of the
     bosonised tau map.
     """
-    rel = coordinate_smash_relations(model, validate=False)
+    rel = smash_relations(model, include_monad=False)
     signs = [s for s, _ in _j_letters()]
     letters = [g for _, g in _j_letters()]
     out = _dressed_map(m.M, model, letters, tilde_basis, (2 * m.k + 2, m.k),
@@ -346,19 +347,19 @@ def monad_residual(m: MonadMatrices, model: TwistModel) -> PolyMatrix:
 
 # -- tilde subalgebra -----------------------------------------------------------
 
-def tilde_generator_polys(model: TwistModel, k=1):
+def tilde_generator_polys(model: TwistModel):
     """The commuting generators inside the smash product, as polynomials.
 
     Returns ``{(j, row, col, conj): NCPolynomial}`` over monad + Hopf letters.
     """
     out = {}
-    rel = smash_relations(model, k=k, include_coordinates=False,
-                          validate=False)
+    k = _TILDE_K
+    rel = smash_relations(model, k=k)
     for j in range(1, 5):
         for a in range(1, 2 * k + 3):
             for b in range(1, k + 1):
                 p = NCPolynomial.zero()
-                for c2, s, hm in _tilde_words(model, j):
+                for c2, s, hm in model.tilde_words(j):
                     p = p + NCPolynomial.from_word(
                         (monad_m(s, a, b),) + hm.letters(), c2)
                 out[(j, a, b, False)] = p
@@ -366,25 +367,7 @@ def tilde_generator_polys(model: TwistModel, k=1):
     return out, rel
 
 
-def _tilde_words(model, j):
-    """Expansion of the j-th tilde generator over plain monad generators."""
-    unit = model.hopf_unit()
-    if model.kind == "moyal":
-        from .hopf_twist import T1, T1S, T2, T2S
-        if j == 1:
-            return [(1.0, 1, unit), (0.5, 3, T1S), (-0.5, 4, T2)]
-        if j == 2:
-            return [(1.0, 2, unit), (0.5, 3, T2S), (0.5, 4, T1)]
-        return [(1.0, j, unit)]
-    if model.kind == "toric":
-        from .hopf_twist import VARSIGMA
-        if j in (1, 2):
-            return [(1.0, j, VARSIGMA[j - 1])]
-        return [(1.0, j, unit)]
-    return [(1.0, j, unit)]
-
-
-def tilde_subalgebra_check(model: TwistModel, k=1) -> Report:
+def tilde_subalgebra_check(model: TwistModel) -> Report:
     """Commutativity of the tilde generators and the smash isomorphism.
 
     Checks every pairwise commutator of the tilde generators (including
@@ -392,7 +375,7 @@ def tilde_subalgebra_check(model: TwistModel, k=1) -> Report:
     product through the generator images preserves the cross relations
     with the Hopf letters.
     """
-    tilde, rel = tilde_generator_polys(model, k)
+    tilde, rel = tilde_generator_polys(model)
     theta = model.theta
     worst_comm = 0.0
     keys = sorted(tilde)
@@ -423,44 +406,20 @@ def tilde_subalgebra_check(model: TwistModel, k=1) -> Report:
 
 
 def _primed_product(model, hg, key, tilde, rel):
-    """(1 (x) h)(T~ (x) 1) expanded with the primed action, then phi-imaged."""
-    j, a, b, conj = key
-    hm = hopf_letter_monomial(hg)
-    out = NCPolynomial.zero()
-    if model.kind == "moyal":
-        # primitive coproduct: T~ (x) h + (h |>' T~) (x) 1
-        out = out + multiply(tilde[key], NCPolynomial.from_generator(hg), rel)
-        for c, j2 in _primed_action_moyal(model, hm, j, conj):
-            out = out + tilde[(j2, a, b, conj)].scale_coeff(c)
-    else:
-        # group-like: (h |>' T~) (x) h
-        phase = _primed_action_toric(model, hm, j, conj)
-        out = multiply(tilde[key], NCPolynomial.from_generator(hg), rel)
-        out = out.scale_coeff(phase)
-    return out
+    """(1 (x) h)(T~ (x) 1) = sum (h1 |>' T~) (x) h2, then phi-imaged.
 
-
-def _primed_action_moyal(model, hm, j, conj):
-    """Primed action table on the tilde generators (translation model).
-
-    The t1-family maps the first tilde generator to the third and the
-    second to the fourth; the t2-family crosses them over.
+    The coproduct of the Hopf letter makes the choice: a primitive letter
+    gives T~ (x) h + (h |>' T~) (x) 1, a group-like one (h |>' T~) (x) h.
+    A single letter splits with unit multiplicities.
     """
-    h = model.hbar
-    al, be = model.alpha, model.beta
-    from .hopf_twist import T1, T1S, T2, T2S
-    table = {
-        (T1.exps, 1, False): (Coefficient(1j * h * al, 1), 3),
-        (T1S.exps, 1, True): (Coefficient(-1j * h * al, 1), 3),
-        (T1S.exps, 2, False): (Coefficient(-1j * h * al, 1), 4),
-        (T1.exps, 2, True): (Coefficient(1j * h * al, 1), 4),
-        (T2S.exps, 1, False): (Coefficient(-1j * h * be, 1), 4),
-        (T2.exps, 1, True): (Coefficient(1j * h * be, 1), 4),
-        (T2.exps, 2, False): (Coefficient(-1j * h * be, 1), 3),
-        (T2S.exps, 2, True): (Coefficient(1j * h * be, 1), 3),
-    }
-    hit = table.get((hm.exps, j, conj))
-    return [hit] if hit else []
+    j, a, b, conj = key
+    out = NCPolynomial.zero()
+    for h1, h2, _ in hopf_letter_monomial(hg).coproduct():
+        tail = NCPolynomial.from_word(h2.letters())
+        for c, j2 in model.primed_action(h1, j, conj):
+            out = out + multiply(tilde[(j2, a, b, conj)], tail,
+                                 rel).scale_coeff(c)
+    return out
 
 
 def tilde_coinvariance_residual(model: TwistModel) -> float:
@@ -474,7 +433,7 @@ def tilde_coinvariance_residual(model: TwistModel) -> float:
     worst = 0.0
     for j in range(1, 5):
         tails = {}
-        for c, s, hm in _tilde_words(model, j):
+        for c, s, hm in model.tilde_words(j):
             for c2, s2, hm2 in model.tilde_decompose(s, hm):
                 key = (s2, hm2)
                 tails[key] = tails.get(key, 0.0) + c * c2
@@ -484,12 +443,3 @@ def tilde_coinvariance_residual(model: TwistModel) -> float:
             expected = 1.0 if (s2 == j and hm2.is_unit()) else 0.0
             worst = max(worst, abs(v - expected))
     return worst
-
-
-def _primed_action_toric(model, hm, j, conj):
-    """varsigma_l |>' Mtilde^j = eta_{lj} Mtilde^j (conjugates flipped)."""
-    from .hopf_twist import VARSIGMA, r_matrix
-    w = VARSIGMA[j - 1]
-    if conj:
-        w = w.star()
-    return r_matrix(model, w.star(), hm)

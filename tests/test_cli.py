@@ -151,6 +151,15 @@ def test_nonpositive_count_is_a_usage_error(argv, capsys):
      "must be a finite number, got inf"),
     (["relations", "--model", "toric", "--theta", "nan"],
      "must be a finite number, got nan"),
+    (["charge", "--data", "unused.json", "--resolution", "29"],
+     "5658248 quadrature points exceed 5000000"),
+    (["relations", "--model", "toric", "--theta", "1.5"],
+     "theta must lie in [0, 1)"),
+    (["solve", "--k", "1", "--model", "moyal", "--hbar", "-1"],
+     "hbar must be >= 0"),
+    (["solve", "--k", "1", "--model", "moyal", "--hbar", "0.1",
+      "--beta", "-1"],
+     "beta must be nonzero and differ from -alpha"),
 ])
 def test_bad_tolerance_or_iteration_cap_is_a_usage_error(argv, message,
                                                          capsys):
@@ -321,3 +330,21 @@ def test_verify_monad_output_is_byte_identical(model, tmp_path, capsys):
         assert run(["verify-monad", "--data", str(path), *flags]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of `verify-monad --full` on the torus k=2 golden solution, the
+# one pin on the centrality check for index two.
+GOLDEN_VERIFY_FULL_TORIC_K2 = (
+    "eb035d745294f9b577c7bf3f81a3d57f7f906849b27b149928c4b0a841a684d8")
+
+
+def test_verify_monad_full_output_is_byte_identical_for_k2(tmp_path, capsys):
+    path = tmp_path / "sol.json"
+    _golden_solve("toric", 2, path)
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == GOLDEN_DIGESTS["toric", 2][0])
+    capsys.readouterr()
+    assert run(["verify-monad", "--data", str(path), "--full"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        GOLDEN_VERIFY_FULL_TORIC_K2

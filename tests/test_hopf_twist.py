@@ -7,6 +7,7 @@ from ncadhm.hopf_twist import (
     TransMonomial, bicharacter_residual, cotriangularity_residual,
     crossed_module_residual, derive_relations, model_from_json, monad_m,
     r_matrix, smash_relations, twist_product, two_cocycle_residual, z, zeta,
+    _validate,
 )
 from ncadhm.star_algebra import (
     C4, Coefficient, NCPolynomial, multiply, normal_form,
@@ -174,7 +175,8 @@ def test_star_closure_of_shipped_systems(moyal, toric):
 
 
 def test_smash_moyal_action_rule(moyal):
-    rel = smash_relations(moyal, k=1, include_coordinates=False)
+    rel = smash_relations(moyal, k=1)
+    _validate(rel)
     t1 = moyal.hopf_letters()[0]
     m1 = monad_m(1, 1, 1)
     p = normal_form(NCPolynomial.from_word((t1, m1)), rel)
@@ -185,7 +187,8 @@ def test_smash_moyal_action_rule(moyal):
 
 
 def test_smash_toric_reordering_phase(toric):
-    rel = smash_relations(toric, k=1, include_coordinates=False)
+    rel = smash_relations(toric, k=1)
+    _validate(rel)
     s = toric.hopf_letters()
     # (M^j x u_l)(M^r x u_s) = eta_{lr} eta_{rj} eta_{js} (M^r x u_s)(M^j x u_l)
     for (j, l, r, srt) in [(1, 3, 3, 1), (2, 1, 4, 3), (1, 2, 3, 4)]:
@@ -203,7 +206,8 @@ def test_smash_toric_reordering_phase(toric):
 
 def test_smash_trivial_action_commutes():
     m0 = MoyalModel(0.0, 1.0, 1.0)
-    rel = smash_relations(m0, k=1, include_coordinates=False)
+    rel = smash_relations(m0, k=1)
+    _validate(rel)
     t1 = m0.hopf_letters()[0]
     m1 = monad_m(1, 1, 1)
     p = normal_form(NCPolynomial.from_word((t1, m1)), rel)

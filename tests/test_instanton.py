@@ -199,6 +199,46 @@ def test_symbolic_projector_checks(model, seed):
         assert c.residual < 1e-10
 
 
+# Residuals of the symbolic checks on the golden `solve --seed 3` data of
+# tests/test_cli.py with I[0, 0] shifted by 1e-3, recorded with the
+# hand-written matrix loops of the projector and centrality checks.  The
+# centrality check uses symbolic monad entries, so the shift leaves it at 0.
+PERTURBED_RESIDUALS = {
+    (MoyalModel(0.2, 1.0, 0.5), 1): {
+        "monad_orthogonality": 0.0024792362556323643,
+        "polarised_rho2": 0.004958472511264507,
+        "rho2_centrality": 0.0,
+        "projector_idempotent": 0.09048553142857292},
+    (ToricModel(0.3), 1): {
+        "monad_orthogonality": 0.0037908335054549734,
+        "polarised_rho2": 0.007581667010910835,
+        "rho2_centrality": 0.0,
+        "projector_idempotent": 0.09722720164106245},
+    (ToricModel(0.3), 2): {
+        "monad_orthogonality": 0.0019542899343929702,
+        "polarised_rho2": 0.003908579868786326,
+        "rho2_centrality": 0.0},
+}
+
+
+@pytest.mark.parametrize("model,k", list(PERTURBED_RESIDUALS),
+                         ids=["moyal-1", "toric-1", "toric-2"])
+def test_symbolic_checks_fail_off_shell(model, k):
+    d = solve(k, model, cfg=SolveConfig(rng_seed=3,
+                                        tolerance=1e-12 if k == 1 else 1e-10))
+    d.I[0, 0] += 1e-3
+    rep = symbolic_projector_checks(d)
+    expected = PERTURBED_RESIDUALS[model, k]
+    assert not rep.passed
+    assert [c.name for c in rep.checks] == list(expected)
+    for c in rep.checks:
+        assert c.residual == pytest.approx(expected[c.name], rel=1e-12,
+                                           abs=0.0)
+        assert c.passed == (c.name == "rho2_centrality")
+        if not c.passed:
+            assert c.residual > c.tolerance
+
+
 def test_hodge_star_involution(solved_k1):
     m = build_monad(solved_k1)
     F, _ = _curvature_batch(m, np.array([0.2 + 0.1j]), np.array([0.5 - 0.3j]))

@@ -264,12 +264,14 @@ def test_instanton_and_charge_output_is_byte_identical(k, tmp_path, capsys):
 
 
 # SHA-256 of the `relations` output (stdout) for the two deformed models,
-# recorded before the never-set options of the derivation became constants.
+# recorded before the never-set options of the derivation became constants
+# (MonadM k=2: before the coaction tables replaced the per-call literals).
 GOLDEN_RELATIONS_SPACES = {
     "C4": ["--space", "C4"],
     "C4-no-calculus": ["--space", "C4", "--no-calculus"],
     "R4": ["--space", "R4"],
     "MonadM": ["--space", "MonadM", "--k", "1"],
+    "MonadM-k2": ["--space", "MonadM", "--k", "2"],
 }
 GOLDEN_RELATIONS_DIGESTS = {
     ("moyal", "C4"):
@@ -280,6 +282,8 @@ GOLDEN_RELATIONS_DIGESTS = {
         "6413d6bd3de3a5a8031fbf7133ed8fc3cf22a09c51f2e7c7e5bfcecdac89e152",
     ("moyal", "MonadM"):
         "410e94d7fd6ad060be0a7b7607f099a0e2f741517249fbad3cfce30bbd1bcc5a",
+    ("moyal", "MonadM-k2"):
+        "3b26fc9222cecf12f328734e5187fd943a85b5b675065301c095d09723c342c4",
     ("toric", "C4"):
         "e568c46953fea275cc775b5d46842e38e0cc6ba87cb5258480bceb18d6f3b2e8",
     ("toric", "C4-no-calculus"):
@@ -288,6 +292,8 @@ GOLDEN_RELATIONS_DIGESTS = {
         "eaa44f5a54b5815c765d55b46839605e83c089b646d570a5986edaada92bde65",
     ("toric", "MonadM"):
         "0b2c6f5b82b58e8add8d498ea1d7bc21e8dff34b6c577b35e84d20e23833e10d",
+    ("toric", "MonadM-k2"):
+        "2f4ca8f2e8c8b63d182e9c6ee11dbdec89557050c2c864efe7f461c4e0b5b01b",
 }
 
 

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from ._report import Check
 from .hopf_twist import (
     ClassicalModel, MoyalModel, ToricModel, derive_relations, ModelMismatch,
 )
@@ -26,9 +27,7 @@ from .instanton import (
     QUADRATURE_MAX_POINTS, PointR4, QuadratureSpec, SingularRho, charge,
     curvature_samples, symbolic_projector_checks,
 )
-from .monad import (
-    ADHMData, ShapeError, adhm_residual, build_monad, monad_residual,
-)
+from .monad import ADHMData, adhm_residual, build_monad, monad_residual
 from .star_algebra import C4, R4, StarAlgebraError
 from .twistor import j_squared_residual, verify_embeddings
 
@@ -116,13 +115,9 @@ def cmd_relations(args) -> int:
 def cmd_twistor_checks(args) -> int:
     report = verify_embeddings()
     j2 = j_squared_residual()
-    out = report.to_json_dict()
-    out["checks"].append({"name": "J_squared", "passed": j2 <= 1e-12,
-                          "residual": j2, "tolerance": 1e-12})
-    ok = report.passed and j2 <= 1e-12
-    out["passed"] = ok
-    _emit(out, args.out)
-    return 0 if ok else 1
+    report.checks.append(Check("J_squared", j2 <= 1e-12, j2, 1e-12))
+    _emit(report.to_json_dict(), args.out)
+    return 0 if report.passed else 1
 
 
 def cmd_solve(args) -> int:
@@ -148,10 +143,14 @@ def cmd_solve(args) -> int:
 def cmd_verify_monad(args) -> int:
     data = _load_data(args.data)
     m = build_monad(data)
-    res = monad_residual(m, data.model)
-    norm = res.eval_max_norm(data.model.theta)
+    if args.full:
+        # its monad_orthogonality check is the normal form of tau sigma
+        rep = symbolic_projector_checks(data)
+        norm = rep["monad_orthogonality"].residual
+    else:
+        rep = None
+        norm = monad_residual(m, data.model).eval_max_norm(data.model.theta)
     c, h = adhm_residual(data)
-    rep = symbolic_projector_checks(data) if args.full else None
     out = {
         "reality_residual": m.reality_residual(),
         "monad_residual": norm,
@@ -282,8 +281,8 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ModelMismatch, ShapeError, StarAlgebraError, NotASolution,
-            SingularRho, FileNotFoundError, KeyError, ValueError) as exc:
+    except (StarAlgebraError, NotASolution, SingularRho, FileNotFoundError,
+            KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

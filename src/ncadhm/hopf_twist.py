@@ -7,6 +7,11 @@ knows the coactions of every supported generator family, evaluates its
 twisting two-cocycle F and the induced R-matrix, computes twisted products
 of classical polynomials, and derives complete rewrite systems from them.
 
+Each comodule structure is written down once, as a module table: the
+translation coaction in ``_MOYAL_COACTION`` and the torus weights in
+``_TORUS_WEIGHTS``, keyed by (space, family index).  The Hopf letters of
+the smash products are ``TRANS_LETTERS`` and ``TORUS_LETTERS``.
+
 The sign of the torus cocycle is the convention under which the phase
 matrix of the deformed coordinates comes out with
 ``eta_13 = mu = exp(i*pi*theta)``; the opposite sign would produce the
@@ -40,6 +45,13 @@ class MissingCoaction(StarAlgebraError):
 
 # -- Hopf monomials ----------------------------------------------------------
 
+# Letters of the two Hopf algebras in the order of the monomial exponents:
+# (t1, t1*, t2, t2*) and (s1, s1*, s2, s2*).
+TRANS_LETTERS, TORUS_LETTERS = (
+    tuple(GeneratorId(space, i, c) for i in (1, 2) for c in (False, True))
+    for space in (HOPF_TRANS, HOPF_TORUS))
+
+
 @dataclass(frozen=True)
 class TransMonomial:
     """Monomial t1^a t1*^b t2^c t2*^d in the translation Hopf algebra."""
@@ -64,12 +76,8 @@ class TransMonomial:
         return _trans_coproduct(self.exps)
 
     def letters(self):
-        gens = (GeneratorId(HOPF_TRANS, 1), GeneratorId(HOPF_TRANS, 1, True),
-                GeneratorId(HOPF_TRANS, 2), GeneratorId(HOPF_TRANS, 2, True))
-        word = []
-        for g, e in zip(gens, self.exps):
-            word.extend([g] * e)
-        return tuple(word)
+        return tuple(g for g, e in zip(TRANS_LETTERS, self.exps)
+                     for _ in range(e))
 
 
 @dataclass(frozen=True)
@@ -91,11 +99,9 @@ class TorusMonomial:
         return [(self, self, 1)]
 
     def letters(self):
-        word = []
-        for i, e in enumerate(self.exps):
-            g = GeneratorId(HOPF_TORUS, i + 1, conjugated=e < 0)
-            word.extend([g] * abs(e))
-        return tuple(word)
+        # a negative power is a power of the conjugate letter
+        return tuple(TORUS_LETTERS[2 * i + (e < 0)]
+                     for i, e in enumerate(self.exps) for _ in range(abs(e)))
 
 
 @functools.cache
@@ -127,6 +133,33 @@ S1 = TorusMonomial((1, 0))
 S2 = TorusMonomial((0, 1))
 # varsigma = (s1, s1*, s2, s2*)
 VARSIGMA = (S1, S1.star(), S2, S2.star())
+_LETTER_MONOMIAL = dict(zip(TRANS_LETTERS + TORUS_LETTERS,
+                            (T1, T1S, T2, T2S) + VARSIGMA))
+
+# Coaction of the translation Hopf algebra on each generator family:
+# (space, index) -> ((coeff, Hopf monomial, target index | None), ...).
+# A leg keeps the letter's grade and matrix slot; only its index changes.
+# Conjugate letters take the conjugated legs.
+_MOYAL_COACTION = {
+    (C4, 1): ((1.0, TRANS_UNIT, 1),),
+    (C4, 2): ((1.0, TRANS_UNIT, 2),),
+    (C4, 3): ((1.0, T1S, 1), (1.0, T2S, 2), (1.0, TRANS_UNIT, 3)),
+    (C4, 4): ((-1.0, T2, 1), (1.0, T1, 2), (1.0, TRANS_UNIT, 4)),
+    (R4, 1): ((1.0, TRANS_UNIT, 1), (1.0, T1, None)),
+    (R4, 2): ((1.0, TRANS_UNIT, 2), (1.0, T2, None)),
+    (MONAD_M, 1): ((1.0, TRANS_UNIT, 1), (-1.0, T1S, 3), (1.0, T2, 4)),
+    (MONAD_M, 2): ((1.0, TRANS_UNIT, 2), (-1.0, T2S, 3), (-1.0, T1, 4)),
+    (MONAD_M, 3): ((1.0, TRANS_UNIT, 3),),
+    (MONAD_M, 4): ((1.0, TRANS_UNIT, 4),),
+}
+
+# Torus weight of each generator family; a conjugate has the inverse weight.
+_TORUS_WEIGHTS = {
+    (C4, 1): S1, (C4, 2): S1.star(), (C4, 3): S2, (C4, 4): S2.star(),
+    (R4, 1): TorusMonomial((1, -1)), (R4, 2): TorusMonomial((-1, -1)),
+    (MONAD_M, 1): S1.star(), (MONAD_M, 2): S1,
+    (MONAD_M, 3): S2.star(), (MONAD_M, 4): S2,
+}
 
 
 def z(j, conj=False, grade=0):
@@ -255,45 +288,36 @@ class MoyalModel(TwistModel):
             (T2.exps, T2S.exps): 0.5j * self.hbar * self.beta,
             (T2S.exps, T2.exps): -0.5j * self.hbar * self.beta,
         }
+        # primed action (Hopf letter, tilde index, conj) -> (coeff, index):
+        # the t1-family maps the first tilde generator to the third and the
+        # second to the fourth; the t2-family crosses them over.
+        h, al, be = self.hbar, self.alpha, self.beta
+        self._primed = {
+            (T1, 1, False): (Coefficient(1j * h * al, 1), 3),
+            (T1S, 1, True): (Coefficient(-1j * h * al, 1), 3),
+            (T1S, 2, False): (Coefficient(-1j * h * al, 1), 4),
+            (T1, 2, True): (Coefficient(1j * h * al, 1), 4),
+            (T2S, 1, False): (Coefficient(-1j * h * be, 1), 4),
+            (T2, 1, True): (Coefficient(1j * h * be, 1), 4),
+            (T2, 2, False): (Coefficient(-1j * h * be, 1), 3),
+            (T2S, 2, True): (Coefficient(1j * h * be, 1), 3),
+        }
 
     @property
     def zeta_level(self):
         return self.hbar * (self.alpha + self.beta)
 
     def coaction(self, g: GeneratorId):
-        if g.space == C4:
-            base = {
-                1: ((1.0, TRANS_UNIT, z(1, grade=g.grade)),),
-                2: ((1.0, TRANS_UNIT, z(2, grade=g.grade)),),
-                3: ((1.0, T1S, z(1, grade=g.grade)),
-                    (1.0, T2S, z(2, grade=g.grade)),
-                    (1.0, TRANS_UNIT, z(3, grade=g.grade))),
-                4: ((-1.0, T2, z(1, grade=g.grade)),
-                    (1.0, T1, z(2, grade=g.grade)),
-                    (1.0, TRANS_UNIT, z(4, grade=g.grade))),
-            }[g.index]
-            return self._conj_coaction(base) if g.conjugated else base
-        if g.space == R4:
-            if g.grade == 1:
-                return ((1.0, TRANS_UNIT, g),)
-            base = {
-                1: ((1.0, TRANS_UNIT, zeta(1)), (1.0, T1, None)),
-                2: ((1.0, TRANS_UNIT, zeta(2)), (1.0, T2, None)),
-            }.get(g.index)
-            if base is None:
-                raise MissingCoaction(f"no coaction for {g}")
-            return self._conj_coaction(base) if g.conjugated else base
-        if g.space == MONAD_M:
-            def m(j):
-                return monad_m(j, g.row, g.col)
-            base = {
-                1: ((1.0, TRANS_UNIT, m(1)), (-1.0, T1S, m(3)), (1.0, T2, m(4))),
-                2: ((1.0, TRANS_UNIT, m(2)), (-1.0, T2S, m(3)), (-1.0, T1, m(4))),
-                3: ((1.0, TRANS_UNIT, m(3)),),
-                4: ((1.0, TRANS_UNIT, m(4)),),
-            }[g.index]
-            return self._conj_coaction(base) if g.conjugated else base
-        raise MissingCoaction(f"no coaction for {g}")
+        if g.space == R4 and g.grade == 1:
+            return ((1.0, TRANS_UNIT, g),)
+        legs = _MOYAL_COACTION.get((g.space, g.index))
+        if legs is None:
+            raise MissingCoaction(f"no coaction for {g}")
+        base = tuple(
+            (c, h, None if j is None
+             else GeneratorId(g.space, j, False, g.grade, g.row, g.col))
+            for c, h, j in legs)
+        return self._conj_coaction(base) if g.conjugated else base
 
     def _pairing(self, h, g, sign) -> Coefficient:
         if not isinstance(h, TransMonomial) or not isinstance(g, TransMonomial):
@@ -316,8 +340,7 @@ class MoyalModel(TwistModel):
         return self._pairing(h, g, -1)
 
     def hopf_letters(self):
-        return (GeneratorId(HOPF_TRANS, 1), GeneratorId(HOPF_TRANS, 1, True),
-                GeneratorId(HOPF_TRANS, 2), GeneratorId(HOPF_TRANS, 2, True))
+        return TRANS_LETTERS
 
     def tilde_decompose(self, j, h):
         if j == 1:
@@ -334,25 +357,10 @@ class MoyalModel(TwistModel):
         return [(1.0, j, TRANS_UNIT)]
 
     def primed_action(self, hm, j, conj):
-        """``hm |>' Mtilde^j`` (conjugated when ``conj``) as ``[(coeff, s)]``.
-
-        The t1-family maps the first tilde generator to the third and the
-        second to the fourth; the t2-family crosses them over.
-        """
+        """``hm |>' Mtilde^j`` (conjugated when ``conj``) as ``[(coeff, s)]``."""
         if hm.is_unit():
             return [(Coefficient(1.0), j)]
-        h, al, be = self.hbar, self.alpha, self.beta
-        table = {
-            (T1, 1, False): (Coefficient(1j * h * al, 1), 3),
-            (T1S, 1, True): (Coefficient(-1j * h * al, 1), 3),
-            (T1S, 2, False): (Coefficient(-1j * h * al, 1), 4),
-            (T1, 2, True): (Coefficient(1j * h * al, 1), 4),
-            (T2S, 1, False): (Coefficient(-1j * h * be, 1), 4),
-            (T2, 1, True): (Coefficient(1j * h * be, 1), 4),
-            (T2, 2, False): (Coefficient(-1j * h * be, 1), 3),
-            (T2S, 2, True): (Coefficient(1j * h * be, 1), 3),
-        }
-        hit = table.get((hm, j, conj))
+        hit = self._primed.get((hm, j, conj))
         return [hit] if hit else []
 
     def to_json_dict(self):
@@ -384,24 +392,11 @@ class ToricModel(TwistModel):
     def counit(self, h) -> complex:
         return 1.0  # group-like monomials
 
-    def _weight(self, g: GeneratorId):
-        if g.space == C4:
-            w = [(1, 0), (-1, 0), (0, 1), (0, -1)][g.index - 1]
-        elif g.space == R4:
-            if g.index not in (1, 2):
-                raise MissingCoaction(f"no coaction for {g}")
-            w = [(1, -1), (-1, -1)][g.index - 1]
-        elif g.space == MONAD_M:
-            m, n = [(1, 0), (-1, 0), (0, 1), (0, -1)][g.index - 1]
-            w = (-m, -n)
-        else:
-            raise MissingCoaction(f"no coaction for {g}")
-        if g.conjugated:
-            w = (-w[0], -w[1])
-        return TorusMonomial(w)
-
     def coaction(self, g: GeneratorId):
-        return ((1.0, self._weight(g), g),)
+        w = _TORUS_WEIGHTS.get((g.space, g.index))
+        if w is None:
+            raise MissingCoaction(f"no coaction for {g}")
+        return ((1.0, w.star() if g.conjugated else w, g),)
 
     @staticmethod
     def _cross(h, g):
@@ -425,8 +420,7 @@ class ToricModel(TwistModel):
         return self.cocycle_inv(VARSIGMA[j - 1], VARSIGMA[l - 1]) ** 2
 
     def hopf_letters(self):
-        return (GeneratorId(HOPF_TORUS, 1), GeneratorId(HOPF_TORUS, 1, True),
-                GeneratorId(HOPF_TORUS, 2), GeneratorId(HOPF_TORUS, 2, True))
+        return TORUS_LETTERS
 
     def tilde_decompose(self, j, h):
         if j in (1, 2):
@@ -628,10 +622,13 @@ def twist_product(model: TwistModel, a: NCPolynomial,
     Inputs and output live in the classical (graded-commutative) algebra.
     """
     out = NCPolynomial()
+    b_terms = [(key, vb, _word_coaction(model, key[0]))
+               for key, vb in b.terms.items()]
     for (wa, ha, ma), va in a.terms.items():
-        for (wb, hb, mb), vb in b.terms.items():
-            for ca, hma, ra in _word_coaction(model, wa):
-                for cb, hmb, rb in _word_coaction(model, wb):
+        a_legs = _word_coaction(model, wa)
+        for (_, hb, mb), vb, b_legs in b_terms:
+            for ca, hma, ra in a_legs:
+                for cb, hmb, rb in b_legs:
                     f = model.cocycle(hma, hmb)
                     if f.is_zero():
                         continue
@@ -639,9 +636,8 @@ def twist_product(model: TwistModel, a: NCPolynomial,
                     if nf is None:
                         continue
                     sign, w = nf
-                    c = Coefficient(sign * va * vb * ca * cb * f.value,
-                                    ha + hb + f.hbar, ma + mb + f.mu2)
-                    out = out + NCPolynomial.from_word(w, c)
+                    out._accum((w, ha + hb + f.hbar, ma + mb + f.mu2),
+                               sign * va * vb * ca * cb * f.value)
     return out
 
 
@@ -689,8 +685,8 @@ def express_in_deformed_basis(model: TwistModel, x: NCPolynomial):
 
 # -- relation-system construction ---------------------------------------------
 
-def _validate(rel: RelationSystem, seed=12345):
-    rng = np.random.default_rng(seed)
+def _validate(rel: RelationSystem):
+    rng = np.random.default_rng(12345)
     res = associativity_residual(rel, rng, trials=6)
     if res > 1e-9:
         raise NonConfluent(f"associativity defect {res:.3e}")
@@ -754,14 +750,10 @@ def derive_relations(model: TwistModel, space, k=1,
 
 def hopf_letter_monomial(hg: GeneratorId):
     """The Hopf monomial represented by one Hopf letter."""
-    if hg.space == HOPF_TRANS:
-        e = [0, 0, 0, 0]
-        e[2 * (hg.index - 1) + (1 if hg.conjugated else 0)] = 1
-        return TransMonomial(tuple(e))
-    if hg.space == HOPF_TORUS:
-        e = -1 if hg.conjugated else 1
-        return TorusMonomial((e, 0) if hg.index == 1 else (0, e))
-    raise ModelMismatch(f"{hg} is not a Hopf letter")
+    try:
+        return _LETTER_MONOMIAL[hg]
+    except KeyError:
+        raise ModelMismatch(f"{hg} is not a Hopf letter") from None
 
 
 def smash_relations(model: TwistModel, k=1,

@@ -328,7 +328,7 @@ def symbolic_projector_checks(data: ADHMData) -> Report:
     tol = SYMBOLIC_TOL
     m = build_monad(data)
     sigma, tau, rel = bosonise_monad(m, model)
-    sigma_j = bosonise_j_map(m, model)
+    sigma_j = bosonise_j_map(m, model, rel)
 
     checks = []
     comp = tau.matmul(sigma, rel).map(lambda p: normal_form(p, rel))

@@ -318,16 +318,16 @@ def _dressed_map(blocks, model, letters, tilde_basis, shape, signs=None):
         [(blocks[s - 1], wpolys[s]) for s in range(1, 5)], shape)
 
 
-def bosonise_j_map(m: MonadMatrices, model: TwistModel, tilde_basis=True):
+def bosonise_j_map(m: MonadMatrices, model: TwistModel, rel):
     """The quaternionic partner map sigma_{J(z)} in the smash picture.
 
-    For self-conjugate data this coincides with the adjoint of the
+    ``rel`` is the smash system that :func:`bosonise_monad` returns.  For
+    self-conjugate data this map coincides with the adjoint of the
     bosonised tau map.
     """
-    rel = smash_relations(model, include_monad=False)
     signs = [s for s, _ in _j_letters()]
     letters = [g for _, g in _j_letters()]
-    out = _dressed_map(m.M, model, letters, tilde_basis, (2 * m.k + 2, m.k),
+    out = _dressed_map(m.M, model, letters, True, (2 * m.k + 2, m.k),
                        signs=signs)
     return out.map(lambda p: normal_form(p, rel))
 

@@ -591,11 +591,12 @@ def differential(p: NCPolynomial, rel: RelationSystem) -> NCPolynomial:
 
 # -- validation helpers -----------------------------------------------------
 
-def _random_poly(rel, rng, max_deg=3, n_terms=3):
+def _random_poly(rel, rng):
+    """Three random words of degree 1 to 3 in the even generators."""
     gens = [g for g in rel.generators if g.grade == 0]
     p = NCPolynomial()
-    for _ in range(n_terms):
-        d = int(rng.integers(1, max_deg + 1))
+    for _ in range(3):
+        d = int(rng.integers(1, 4))
         word = tuple(gens[int(rng.integers(0, len(gens)))] for _ in range(d))
         c = complex(rng.standard_normal(), rng.standard_normal())
         p = p + NCPolynomial.from_word(word, c)

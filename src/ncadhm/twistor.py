@@ -80,20 +80,20 @@ for _n in ("a1", "a2", "a3", "a4"):
     _SELF_ADJOINT[cp3_gen(_n + "*")] = cp3_gen(_n + "*")
 
 
-def c4_ring(calculus=False):
-    gens = ClassicalModel().generators(C4, calculus=calculus)
+def c4_ring():
+    gens = ClassicalModel().generators(C4, calculus=False)
     return _commutative_relation_system(gens)
 
 
-def s4_ring(localised=False):
-    gens = [X0, X1, X1S, X2, X2S] + ([X0_INV] if localised else [])
+def s4_ring():
+    """The four-sphere coordinates with the inverse of 1 + x0 adjoined."""
+    gens = [X0, X1, X1S, X2, X2S, X0_INV]
     return _commutative_relation_system(gens, _SELF_ADJOINT)
 
 
-def r4_ring(localised=False):
-    gens = list(ClassicalModel().generators(R4, calculus=False))
-    if localised:
-        gens.append(R4_INV)
+def r4_ring():
+    """The plane coordinates with the inverse of 1 + |zeta|^2 adjoined."""
+    gens = list(ClassicalModel().generators(R4, calculus=False)) + [R4_INV]
     return _commutative_relation_system(gens, _SELF_ADJOINT)
 
 
@@ -223,8 +223,8 @@ def _check_fibration_j_fixed() -> Check:
 
 def _check_stereographic() -> Check:
     """chart and its inverse compose to the identity on generators."""
-    s4 = s4_ring(localised=True)
-    r4 = r4_ring(localised=True)
+    s4 = s4_ring()
+    r4 = r4_ring()
 
     qmod = NCPolynomial.one() + word(zeta(1, True), zeta(1)) \
         + word(zeta(2, True), zeta(2))

@@ -3,15 +3,15 @@ import pytest
 
 from ncadhm.hopf_twist import (
     S1, S2, T1, T1S, T2, T2S, TORUS_UNIT, TRANS_UNIT, VARSIGMA,
-    ClassicalModel, ModelMismatch, MoyalModel, ToricModel, TorusMonomial,
-    TransMonomial, bicharacter_residual, cotriangularity_residual,
-    crossed_module_residual, derive_relations, model_from_json, monad_m,
-    r_matrix, smash_relations, twist_product, two_cocycle_residual, z, zeta,
-    _validate,
+    ClassicalModel, MissingCoaction, ModelMismatch, MoyalModel, ToricModel,
+    TorusMonomial, TransMonomial, bicharacter_residual,
+    cotriangularity_residual, crossed_module_residual, derive_relations,
+    model_from_json, monad_m, r_matrix, smash_relations, twist_product,
+    two_cocycle_residual, z, zeta, _validate,
 )
 from ncadhm.star_algebra import (
-    C4, Coefficient, NCPolynomial, multiply, normal_form,
-    star_closure_residual,
+    C4, MONAD_M, R4, Coefficient, GeneratorId, NCPolynomial, multiply,
+    normal_form, star_closure_residual,
 )
 
 HBAR, ALPHA, BETA = 0.1, 1.0, 2.0
@@ -297,6 +297,71 @@ def test_missing_coaction_and_mismatch(moyal, toric):
         toric.coaction(GeneratorId(R4, -1))  # localisation inverse
     with pytest.raises(ModelMismatch):
         moyal.cocycle(S1, S2)  # torus monomials fed to translations
+
+
+@pytest.mark.parametrize("space, index", [
+    (C4, 0), (C4, 5), (MONAD_M, 0), (MONAD_M, 5),
+])
+@pytest.mark.parametrize("kind", ["moyal", "toric"])
+def test_coaction_of_unknown_family_index_raises(kind, space, index,
+                                                 request):
+    # index 0 once read the last family member through a negative index
+    model = request.getfixturevalue(kind)
+    with pytest.raises(MissingCoaction):
+        model.coaction(GeneratorId(space, index, row=1, col=1))
+
+
+def _tally(terms):
+    """Sum ``(key, coeff)`` pairs by key and drop what cancels."""
+    out = {}
+    for key, c in terms:
+        out[key] = out.get(key, 0.0) + c
+    return {key: c for key, c in out.items() if abs(c) > 1e-14}
+
+
+def _same(a, b):
+    return a.keys() == b.keys() and all(abs(a[k] - b[k]) <= 1e-14 for k in a)
+
+
+def _delta(model, x):
+    """Coaction of a leg; a pure Hopf leg (x is None) has 1 (x) 1."""
+    if x is None:
+        return ((1.0, model.hopf_unit(), None),)
+    return model.coaction(x)
+
+
+@pytest.mark.parametrize("kind", ["moyal", "toric"])
+def test_coaction_tables_are_counital_and_coassociative(kind, request):
+    model = request.getfixturevalue(kind)
+    gens = (model.generators(C4) + model.generators(R4)
+            + model.generators(MONAD_M, k=2))
+    for g in gens:
+        legs = model.coaction(g)
+        # (eps (x) id) delta = id
+        assert _same(_tally((x, c * model.counit(h)) for c, h, x in legs),
+                     {g: 1.0}), g
+        # (Delta (x) id) delta = (id (x) delta) delta
+        lhs = _tally(((h1, h2, x), c * m) for c, h, x in legs
+                     for h1, h2, m in h.coproduct())
+        rhs = _tally(((h, h2, x2), c * c2) for c, h, x in legs
+                     for c2, h2, x2 in _delta(model, x))
+        assert _same(lhs, rhs), g
+
+
+@pytest.mark.parametrize("kind", ["moyal", "toric"])
+def test_monad_pairing_is_coinvariant(kind, request):
+    # sum_j delta(M^j_ab) delta(z_j) keeps only a unit Hopf part
+    model = request.getfixturevalue(kind)
+    k = 2
+    for a in range(1, 2 * k + 3):
+        for b in range(1, k + 1):
+            for conj in (False, True):
+                total = _tally(
+                    ((h1 * h2, x1, x2), c1 * c2) for j in range(1, 5)
+                    for c1, h1, x1 in model.coaction(monad_m(j, a, b, conj))
+                    for c2, h2, x2 in model.coaction(z(j, conj)))
+                assert len(total) == 4
+                assert all(h.is_unit() for h, _, _ in total)
 
 
 def test_solve_config_validation():

@@ -291,8 +291,6 @@ def test_moyal_model_rejects_non_finite_parameters(params):
 
 
 def test_missing_coaction_and_mismatch(moyal, toric):
-    from ncadhm.hopf_twist import MissingCoaction
-    from ncadhm.star_algebra import GeneratorId, R4
     with pytest.raises(MissingCoaction):
         toric.coaction(GeneratorId(R4, -1))  # localisation inverse
     with pytest.raises(ModelMismatch):
@@ -305,7 +303,7 @@ def test_missing_coaction_and_mismatch(moyal, toric):
 @pytest.mark.parametrize("kind", ["moyal", "toric"])
 def test_coaction_of_unknown_family_index_raises(kind, space, index,
                                                  request):
-    # index 0 once read the last family member through a negative index
+    # index 0 must not wrap round to the last member of the family
     model = request.getfixturevalue(kind)
     with pytest.raises(MissingCoaction):
         model.coaction(GeneratorId(space, index, row=1, col=1))

@@ -242,6 +242,11 @@ GOLDEN_INSTANTON_DIGESTS = {
 }
 GOLDEN_CHARGE_DIGEST = (
     "a0ab70678053b41d1c5eedc51b8bbe72841aa9e1802eb52688a8992e2b21184e")
+# SHA-256 of `instanton --points 600 --seed 5 --check-asd` on the classical
+# k=2 golden solution: 600 points span several curvature chunks, where the
+# 200-point pins above fit in one.
+GOLDEN_INSTANTON_600_DIGEST = (
+    "d0339c51206f3a2447544c5626a49ec1f56fa070d23414485579628299f7e1bc")
 
 
 @pytest.mark.parametrize("k", list(GOLDEN_INSTANTON_DIGESTS))
@@ -261,6 +266,17 @@ def test_instanton_and_charge_output_is_byte_identical(k, tmp_path, capsys):
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == \
             GOLDEN_CHARGE_DIGEST
+
+
+def test_instanton_output_across_chunks_is_byte_identical(tmp_path, capsys):
+    path = tmp_path / "sol.json"
+    _golden_solve("classical", 2, path)
+    capsys.readouterr()
+    assert run(["instanton", "--data", str(path), "--points", "600",
+                "--seed", "5", "--check-asd"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        GOLDEN_INSTANTON_600_DIGEST
 
 
 # SHA-256 of the `relations` output (stdout) for the two deformed models,

@@ -308,11 +308,11 @@ class MoyalModel(TwistModel):
         return self.hbar * (self.alpha + self.beta)
 
     def coaction(self, g: GeneratorId):
-        if g.space == R4 and g.grade == 1:
-            return ((1.0, TRANS_UNIT, g),)
         legs = _MOYAL_COACTION.get((g.space, g.index))
         if legs is None:
             raise MissingCoaction(f"no coaction for {g}")
+        if g.space == R4 and g.grade == 1:
+            return ((1.0, TRANS_UNIT, g),)
         base = tuple(
             (c, h, None if j is None
              else GeneratorId(g.space, j, False, g.grade, g.row, g.col))

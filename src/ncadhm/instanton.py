@@ -42,6 +42,9 @@ class QuadratureBudgetExceeded(Exception):
 
 SINGULAR_CUTOFF = 1e-10
 QUADRATURE_MAX_POINTS = 5_000_000
+# Points per curvature batch: bounds the n x n x 16 complex F held at once
+# (4 MiB at k=3); every per-point number is independent of the chunking.
+CURVATURE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,6 @@ class ConnectionSample:
     rho2: np.ndarray
     Q: np.ndarray
     P: np.ndarray
-    F: np.ndarray | None = None
     asd_residual: float | None = None
 
 
@@ -128,9 +130,7 @@ def _curvature_batch(m: MonadMatrices, z1, z2):
     V = _v_batch(m, z1, z2)
     Ginv, Q = _projector(V)
     n = V.shape[-2]
-    # P is written into Q's buffer and F is allocated before the dP
-    # temporaries: on thousands of points the peak RSS depends on both
-    P = np.subtract(np.eye(n), Q, out=Q)
+    P = np.eye(n) - Q
     F = np.zeros((V.shape[0], 4, 4, n, n), dtype=complex)
     # dP/dx_mu, analytic
     dP = []
@@ -171,33 +171,42 @@ def _asd_residuals(F):
     return num / den
 
 
-def curvature_asd(data: ADHMData, points) -> Report:
-    """Analytic curvature and the anti-self-duality residual at the points."""
+def _per_point(m: MonadMatrices, z1, z2, reduce):
+    """reduce(F) over chunks of CURVATURE_CHUNK points, concatenated."""
+    return np.concatenate([
+        reduce(_curvature_batch(m, z1[i:i + CURVATURE_CHUNK],
+                                z2[i:i + CURVATURE_CHUNK])[0])
+        for i in range(0, len(z1), CURVATURE_CHUNK)])
+
+
+def _plane_points(data: ADHMData, points):
+    """The monad and the coordinate arrays of the points, guarded."""
     _require_classical(data)
     m = build_monad(data)
     z1 = np.array([p.zeta1 for p in points], dtype=complex)
     z2 = np.array([p.zeta2 for p in points], dtype=complex)
     _guard_singular(m, z1, z2)
-    F, _ = _curvature_batch(m, z1, z2)
-    res = _asd_residuals(F)
-    worst = float(res.max()) if len(res) else 0.0
+    return m, z1, z2
+
+
+def curvature_asd(data: ADHMData, points) -> Report:
+    """Analytic curvature and the anti-self-duality residual at the points."""
+    res = _per_point(*_plane_points(data, points), _asd_residuals)
+    worst = float(res.max())
     return Report([Check("asd_max_residual", worst <= 1e-6, worst, 1e-6)])
 
 
 def curvature_samples(data: ADHMData, points):
-    """ConnectionSamples with curvature and per-point ASD residuals."""
-    _require_classical(data)
-    m = build_monad(data)
-    z1 = np.array([p.zeta1 for p in points], dtype=complex)
-    z2 = np.array([p.zeta2 for p in points], dtype=complex)
-    _guard_singular(m, z1, z2)
-    F, P = _curvature_batch(m, z1, z2)
-    res = _asd_residuals(F)
+    """ConnectionSamples with per-point ASD residuals.
+
+    A sample carries the residual of the curvature at its point, not the
+    curvature itself.
+    """
+    res = _per_point(*_plane_points(data, points), _asd_residuals)
     out = []
-    for i, p in enumerate(points):
+    for p, r in zip(points, res):
         sample = evaluate_projector(data, p)
-        sample.F = F[i]
-        sample.asd_residual = float(res[i])
+        sample.asd_residual = float(r)
         out.append(sample)
     return out
 
@@ -249,7 +258,10 @@ class QuadratureSpec:
 
 
 def _density(m: MonadMatrices, z1, z2):
-    F, _ = _curvature_batch(m, z1, z2)
+    return _per_point(m, z1, z2, _density_of)
+
+
+def _density_of(F):
     t = (np.einsum("pij,pji->p", F[:, 0, 1], F[:, 2, 3])
          - np.einsum("pij,pji->p", F[:, 0, 2], F[:, 1, 3])
          + np.einsum("pij,pji->p", F[:, 0, 3], F[:, 1, 2]))

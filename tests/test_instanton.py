@@ -1,14 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ncadhm.adhm_solver import SolveConfig, solve
 from ncadhm.hopf_twist import ClassicalModel, MoyalModel, ToricModel
 from ncadhm.instanton import (
-    ModelMismatch, PointR4, QuadratureBudgetExceeded, QuadratureSpec,
+    CURVATURE_CHUNK, ModelMismatch, PointR4, QuadratureBudgetExceeded, QuadratureSpec,
     SingularRho, charge, curvature_asd, curvature_samples, evaluate_projector,
     finite_difference_curvature, hodge_star, symbolic_projector_checks,
 )
-from ncadhm.instanton import _curvature_batch
+from ncadhm.instanton import _asd_residuals, _curvature_batch, _density
 from ncadhm.monad import ADHMData, adhm_residual, build_monad
 
 
@@ -112,6 +114,31 @@ def test_asd_residual_large_off_shell():
     assert rep["asd_max_residual"].residual > 1e-2
 
 
+def test_chunked_residuals_match_one_batch(solved_k2):
+    # points spanning three chunks: each residual equals the one from a
+    # single batch over all of them, bit for bit
+    pts = random_points(2 * CURVATURE_CHUNK + 37, seed=8)
+    z1 = np.array([p.zeta1 for p in pts])
+    z2 = np.array([p.zeta2 for p in pts])
+    ref = _asd_residuals(_curvature_batch(build_monad(solved_k2), z1, z2)[0])
+    res = [s.asd_residual for s in curvature_samples(solved_k2, pts)]
+    assert np.array_equal(res, ref)
+    worst = curvature_asd(solved_k2, pts)["asd_max_residual"].residual
+    assert worst == ref.max()
+
+
+def test_curvature_asd_memory_is_bounded(solved_k2):
+    # one batch over all 2,000 points held about 45 MiB of F and its dual
+    pts = random_points(2000, seed=9)
+    tracemalloc.start()
+    try:
+        curvature_asd(solved_k2, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 def test_finite_difference_cross_check(solved_k1):
     p = PointR4(0.4 + 0.1j, -0.3 + 0.6j)
     m = build_monad(solved_k1)
@@ -164,6 +191,22 @@ def test_gauge_u_conjugation(solved_k1):
         F0, _ = _curvature_batch(build_monad(solved_k1), z1, z2)
         from ncadhm.instanton import _asd_residuals
         assert np.max(np.abs(_asd_residuals(F) - _asd_residuals(F0))) < 1e-10
+
+
+def test_density_matches_bpst_closed_form(solved_k1):
+    # k=1: (6/pi^2) rho^4 / (|x - c|^2 + rho^2)^4 with rho^2 = (|I|^2 +
+    # |J|^2)/2 and centre c = (-conj(B1), B2), on points spanning three chunks
+    for d in (solved_k1, solve(1, ClassicalModel(),
+                               cfg=SolveConfig(rng_seed=11))):
+        pts = random_points(2 * CURVATURE_CHUNK + 37, seed=12)
+        z1 = np.array([p.zeta1 for p in pts])
+        z2 = np.array([p.zeta2 for p in pts])
+        rho2 = (np.linalg.norm(d.I) ** 2 + np.linalg.norm(d.J) ** 2) / 2
+        r2 = (np.abs(z1 + np.conj(d.B1[0, 0])) ** 2
+              + np.abs(z2 - d.B2[0, 0]) ** 2)
+        bpst = 6 / np.pi ** 2 * rho2 ** 2 / (r2 + rho2) ** 4
+        q = _density(build_monad(d), z1, z2)
+        assert np.max(np.abs(q - bpst) / bpst) < 1e-12
 
 
 def test_charge_unit(solved_k1):

@@ -6,9 +6,10 @@ import pytest
 from ncadhm.adhm_solver import SolveConfig, solve
 from ncadhm.hopf_twist import ClassicalModel, MoyalModel, ToricModel
 from ncadhm.instanton import (
-    CURVATURE_CHUNK, ModelMismatch, PointR4, QuadratureBudgetExceeded, QuadratureSpec,
-    SingularRho, charge, curvature_asd, curvature_samples, evaluate_projector,
-    finite_difference_curvature, hodge_star, symbolic_projector_checks,
+    CURVATURE_CHUNK, ModelMismatch, PointR4, QuadratureBudgetExceeded,
+    QuadratureSpec, SingularRho, charge, curvature_asd, curvature_samples,
+    evaluate_projector, finite_difference_curvature, hodge_star,
+    symbolic_projector_checks,
 )
 from ncadhm.instanton import _asd_residuals, _curvature_batch, _density
 from ncadhm.monad import ADHMData, adhm_residual, build_monad
@@ -189,7 +190,6 @@ def test_gauge_u_conjugation(solved_k1):
         z2 = np.array([p.zeta2 for p in pts])
         F, _ = _curvature_batch(m, z1, z2)
         F0, _ = _curvature_batch(build_monad(solved_k1), z1, z2)
-        from ncadhm.instanton import _asd_residuals
         assert np.max(np.abs(_asd_residuals(F) - _asd_residuals(F0))) < 1e-10
 
 

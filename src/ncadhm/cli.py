@@ -169,9 +169,8 @@ def cmd_verify_monad(args) -> int:
 def cmd_instanton(args) -> int:
     data = _load_data(args.data)
     rng = np.random.default_rng(args.seed)
-    pts = [PointR4(complex(*rng.standard_normal(2)),
-                   complex(*rng.standard_normal(2)))
-           for _ in range(args.points)]
+    pts = [PointR4(complex(a, b), complex(c, d))
+           for a, b, c, d in rng.standard_normal((args.points, 4)).tolist()]
     samples = curvature_samples(data, pts)
     worst = max(s.asd_residual for s in samples)
     traces = [float(np.trace(s.Q).real) for s in samples]

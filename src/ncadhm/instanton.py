@@ -89,10 +89,11 @@ def _v_batch(m: MonadMatrices, z1, z2):
 
 
 def _projector(V):
-    """G^-1 and Q = V G^-1 V+ for G = V+V, over the last two axes."""
+    """V+, G^-1, V G^-1 and Q = V G^-1 V+ for G = V+V, over the last two axes."""
     Vd = _dag(V)
     Ginv = np.linalg.inv(Vd @ V)
-    return Ginv, V @ Ginv @ Vd
+    VG = V @ Ginv
+    return Vd, Ginv, VG, VG @ Vd
 
 
 # Constant coordinate derivatives of V in (Re z1, Im z1, Re z2, Im z2).
@@ -107,16 +108,38 @@ def _dv_tables(m: MonadMatrices):
     ]
 
 
+# The last monad built and its key, held as one (key, monad) tuple so a key
+# is never paired with another key's monad.
+_monad_memo = (None, None)
+
+
+def _monad_of(data: ADHMData) -> MonadMatrices:
+    """build_monad(data), reused while the data's content is unchanged.
+
+    The key is the content build_monad reads, not the object: data edited in
+    place gets a new monad, validated again.
+    """
+    global _monad_memo
+    key = (data.k, np.complex128(data.model.mu).tobytes()) + tuple(
+        (a.shape, a.dtype.str, a.tobytes())
+        for a in (data.B1, data.B2, data.I, data.J))
+    held, m = _monad_memo
+    if held != key:
+        m = build_monad(data)
+        _monad_memo = (key, m)
+    return m
+
+
 def evaluate_projector(data: ADHMData, x: PointR4) -> ConnectionSample:
     """The rank-2k projector Q and its complement P at one plane point."""
     _require_classical(data)
-    V = _v_batch(build_monad(data), x.zeta1, x.zeta2)
+    V = _v_batch(_monad_of(data), x.zeta1, x.zeta2)
     s1 = V[:, :data.k]
     rho2 = _dag(s1) @ s1
     ev = np.linalg.eigvalsh(rho2)
     if ev.min() < SINGULAR_CUTOFF:
         raise SingularRho(f"sigma_min(rho2) = {ev.min():.3e} at {x}")
-    _, Q = _projector(V)
+    Q = _projector(V)[3]
     P = np.eye(2 * data.k + 2) - Q
     return ConnectionSample(x, V, rho2, Q, P)
 
@@ -128,16 +151,17 @@ def _curvature_batch(m: MonadMatrices, z1, z2):
     projector curvature P[dP, dP]P is used by the finite-difference check.
     """
     V = _v_batch(m, z1, z2)
-    Ginv, Q = _projector(V)
+    Vd, Ginv, VG, Q = _projector(V)
     n = V.shape[-2]
     P = np.eye(n) - Q
     F = np.zeros((V.shape[0], 4, 4, n, n), dtype=complex)
     # dP/dx_mu, analytic
     dP = []
     for Dv in _dv_tables(m):
-        dG = _dag(Dv) @ V + _dag(V) @ Dv
+        Dvd = _dag(Dv)
+        dG = Dvd @ V + Vd @ Dv
         dGinv = -Ginv @ dG @ Ginv
-        term = Dv @ Ginv @ _dag(V) + V @ dGinv @ _dag(V) + V @ Ginv @ _dag(Dv)
+        term = Dv @ Ginv @ Vd + V @ dGinv @ Vd + VG @ Dvd
         dP.append(-term)
     for mu in range(4):
         for nu in range(mu + 1, 4):
@@ -182,9 +206,11 @@ def _per_point(m: MonadMatrices, z1, z2, reduce):
 def _plane_points(data: ADHMData, points):
     """The monad and the coordinate arrays of the points, guarded."""
     _require_classical(data)
-    m = build_monad(data)
+    m = _monad_of(data)
     z1 = np.array([p.zeta1 for p in points], dtype=complex)
     z2 = np.array([p.zeta2 for p in points], dtype=complex)
+    if z1.size == 0:
+        raise ShapeError("no sample points given")
     _guard_singular(m, z1, z2)
     return m, z1, z2
 
@@ -200,7 +226,8 @@ def curvature_samples(data: ADHMData, points):
     """ConnectionSamples with per-point ASD residuals.
 
     A sample carries the residual of the curvature at its point, not the
-    curvature itself.
+    curvature itself. One monad, built once from the data, serves every
+    point.
     """
     res = _per_point(*_plane_points(data, points), _asd_residuals)
     out = []
@@ -226,7 +253,7 @@ def finite_difference_curvature(data: ADHMData, x: PointR4, step=1e-5):
 
     def P_at(v):
         V = _v_batch(m, v[0] + 1j * v[1], v[2] + 1j * v[3])
-        return np.eye(V.shape[0]) - _projector(V)[1]
+        return np.eye(V.shape[0]) - _projector(V)[3]
 
     v0 = np.array([x.zeta1.real, x.zeta1.imag, x.zeta2.real, x.zeta2.imag])
     P0 = P_at(v0)

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +101,17 @@ def test_moduli_dim_subcommand(solved_file, capsys):
 def test_usage_error_exit_code(capsys):
     assert run(["solve", "--model", "moyal"]) == 2  # missing --k
     assert run(["charge", "--data", "/nonexistent.json"]) == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    r = subprocess.run([sys.executable, "-m", "ncadhm", "moduli-dim", "--help"],
+                       env=env, capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert "--data" in r.stdout
 
 
 def test_failed_check_exit_code(tmp_path, capsys):

@@ -11,8 +11,9 @@ from ncadhm.instanton import (
     evaluate_projector, finite_difference_curvature, hodge_star,
     symbolic_projector_checks,
 )
+from ncadhm import instanton
 from ncadhm.instanton import _asd_residuals, _curvature_batch, _density
-from ncadhm.monad import ADHMData, adhm_residual, build_monad
+from ncadhm.monad import ADHMData, ShapeError, adhm_residual, build_monad
 
 
 @pytest.fixture(scope="module")
@@ -290,3 +291,47 @@ def test_hodge_star_involution(solved_k1):
     for mu in range(4):
         for nu in range(4):
             assert np.allclose(F[:, mu, nu], -F[:, nu, mu])
+
+
+def test_empty_point_list_is_a_shape_error(solved_k1):
+    for fn in (curvature_asd, curvature_samples):
+        with pytest.raises(ShapeError, match="no sample points given"):
+            fn(solved_k1, [])
+
+
+# The monad is reused while the data's content is unchanged; the next three
+# tests edit data in place or pass an equal copy, so a monad reused by object
+# identity fails them.
+def test_sample_follows_in_place_edit(solved_k1):
+    d = solved_k1.copy()
+    p = PointR4(0.3 + 0.1j, -0.2 + 0.4j)
+    curvature_samples(d, [p])
+    d.I[0, 0] += 1e-3
+    s = curvature_samples(d, [p])[0]
+    ref = evaluate_projector(d.copy(), p)
+    for name in ("V", "Q", "P"):
+        assert np.array_equal(getattr(s, name), getattr(ref, name))
+
+
+def test_in_place_non_finite_edit_is_rejected(solved_k1):
+    d = solved_k1.copy()
+    p = PointR4(0.3 + 0.1j, -0.2 + 0.4j)
+    evaluate_projector(d, p)
+    d.I[0, 0] = np.inf
+    with pytest.raises(ShapeError):
+        evaluate_projector(d, p)
+
+
+def test_one_monad_per_data_content(solved_k2, monkeypatch):
+    builds = []
+
+    def counting(data):
+        builds.append(data)
+        return build_monad(data)
+
+    monkeypatch.setattr(instanton, "build_monad", counting)
+    pts = random_points(300, seed=11)
+    curvature_samples(solved_k2, pts)
+    assert len(builds) <= 1
+    curvature_samples(solved_k2.copy(), pts[:5])
+    assert len(builds) <= 1

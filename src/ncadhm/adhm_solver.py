@@ -203,43 +203,41 @@ def solve(k: int, model: TwistModel, zeta: float | None = None,
     return best
 
 
-def solve_history(k, model, cfg=None):
-    """Single-start run returning the accepted-step residual history."""
-    cfg = cfg or SolveConfig(multistarts=1)
-    return _lm_minimize(
-        _random_start(k, model, np.random.default_rng(cfg.rng_seed)), cfg)
-
-
 # -- gauge distance ----------------------------------------------------------------
 
+def _hermitian_basis(k):
+    """The k^2 Hermitian matrices h with u(k) = span of i h, in parameter
+    order: E_ii, then E_ij + E_ji and i (E_ij - E_ji) for each i < j."""
+    entries = [(i, i, 1.0) for i in range(k)] + [
+        (i, j, c) for i in range(k) for j in range(i + 1, k)
+        for c in (1.0, 1j)]
+    basis = np.zeros((k * k, k, k), dtype=complex)
+    for h, (i, j, c) in zip(basis, entries):
+        h[i, j] = c
+        h[j, i] = np.conj(c)
+    return basis
+
+
 def _unitary_from_params(x, k):
-    """exp of the antihermitian matrix packed in k^2 real parameters."""
-    H = np.zeros((k, k), dtype=complex)
-    at = 0
-    for i in range(k):
-        H[i, i] = x[at]
-        at += 1
-    for i in range(k):
-        for j in range(i + 1, k):
-            H[i, j] = x[at] + 1j * x[at + 1]
-            H[j, i] = x[at] - 1j * x[at + 1]
-            at += 2
+    """exp(i H) for the Hermitian H = sum x_a h_a of the k^2 parameters."""
+    H = np.tensordot(x, _hermitian_basis(k), 1)
     w, V = np.linalg.eigh(H)
     return V @ np.diag(np.exp(1j * w)) @ _dag(V)
 
 
-def _gauge_objective(a: ADHMData, b: ADHMData, g) -> float:
+def _gauge_gaps(a: ADHMData, b: ADHMData, g):
+    """Frobenius norms of the B1, B2, I and J differences of a and g . b."""
     gb = b.gauge_apply(g)
-    return (np.linalg.norm(a.B1 - gb.B1) ** 2
-            + np.linalg.norm(a.B2 - gb.B2) ** 2
-            + np.linalg.norm(a.I - gb.I) ** 2
-            + np.linalg.norm(a.J - gb.J) ** 2)
+    return [np.linalg.norm(x - y) for x, y in
+            ((a.B1, gb.B1), (a.B2, gb.B2), (a.I, gb.I), (a.J, gb.J))]
+
+
+def _gauge_objective(a: ADHMData, b: ADHMData, g) -> float:
+    return sum(n ** 2 for n in _gauge_gaps(a, b, g))
 
 
 def _gauge_summed_norm(a: ADHMData, b: ADHMData, g) -> float:
-    gb = b.gauge_apply(g)
-    return (np.linalg.norm(a.B1 - gb.B1) + np.linalg.norm(a.B2 - gb.B2)
-            + np.linalg.norm(a.I - gb.I) + np.linalg.norm(a.J - gb.J))
+    return sum(_gauge_gaps(a, b, g))
 
 
 def _procrustes_init(a: ADHMData, b: ADHMData):
@@ -252,8 +250,10 @@ def _procrustes_init(a: ADHMData, b: ADHMData):
 def gauge_distance(a: ADHMData, b: ADHMData) -> float:
     """min over U(k) of the summed Frobenius distance between a and g . b.
 
-    Nelder-Mead-free: damped Gauss-Newton on the k^2 gauge parameters from
-    several starts (identity, the I/J Procrustes alignment, random).
+    Gradient descent on the squared distance over the k^2 gauge parameters:
+    forward-difference gradients, a step that grows by 1.3 on success and
+    halves on failure, from GAUGE_STARTS starts (identity, the I/J
+    Procrustes alignment, random).
     """
     if a.k != b.k or a.model.kind != b.model.kind:
         raise ShapeError("gauge distance needs matching k and model")
@@ -265,13 +265,9 @@ def gauge_distance(a: ADHMData, b: ADHMData) -> float:
         g0 = _procrustes_init(a, b)
         w, V = np.linalg.eig(g0)
         H = V @ np.diag(np.angle(w)) @ np.linalg.inv(V)
-        x0 = []
-        for i in range(k):
-            x0.append(H[i, i].real)
-        for i in range(k):
-            for j in range(i + 1, k):
-                x0.extend([H[i, j].real, H[i, j].imag])
-        starts.append(np.array(x0))
+        # the coordinates of H read off its upper triangle
+        starts.append(np.real(np.einsum(
+            "aij,ij->a", np.triu(_hermitian_basis(k)).conj(), H)))
     except np.linalg.LinAlgError:
         pass
     for _ in range(GAUGE_STARTS - len(starts)):
@@ -279,7 +275,6 @@ def gauge_distance(a: ADHMData, b: ADHMData) -> float:
 
     best = np.inf
     for x in starts:
-        x = x.copy()
         f = _gauge_objective(a, b, _unitary_from_params(x, k))
         step = 0.5
         for _ in range(GAUGE_ITERATIONS):
@@ -317,22 +312,7 @@ def _gauge_tangent_vectors(data: ADHMData) -> np.ndarray:
     """Tangent directions of the U(k) orbit, one row per u(k) basis element."""
     k = data.k
     rows = []
-    basis = []
-    for i in range(k):
-        H = np.zeros((k, k), dtype=complex)
-        H[i, i] = 1j
-        basis.append(H)
-    for i in range(k):
-        for j in range(i + 1, k):
-            H = np.zeros((k, k), dtype=complex)
-            H[i, j] = 1.0
-            H[j, i] = -1.0
-            basis.append(H)
-            H = np.zeros((k, k), dtype=complex)
-            H[i, j] = 1j
-            H[j, i] = 1j
-            basis.append(H)
-    for X in basis:
+    for X in 1j * _hermitian_basis(k):
         d = ADHMData(k, data.model, X @ data.B1 - data.B1 @ X,
                      X @ data.B2 - data.B2 @ X, X @ data.I, -data.J @ X)
         rows.append(d.parameter_vector())

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -24,7 +23,7 @@ from .adhm_solver import (
     NoConvergence, NotASolution, SolveConfig, moduli_dimension, solve,
 )
 from .instanton import (
-    QUADRATURE_MAX_POINTS, PointR4, QuadratureSpec, SingularRho, charge,
+    PointR4, QuadratureBudgetExceeded, QuadratureSpec, SingularRho, charge,
     curvature_samples, symbolic_projector_checks,
 )
 from .monad import ADHMData, adhm_residual, build_monad, monad_residual
@@ -75,10 +74,10 @@ def _positive_float(text) -> float:
 def _resolution(text) -> int:
     """argparse type for a charge quadrature resolution within the budget."""
     value = _positive_int(text)
-    points = math.prod(QuadratureSpec(resolution=value).node_counts())
-    if points > QUADRATURE_MAX_POINTS:
-        raise argparse.ArgumentTypeError(
-            f"{points} quadrature points exceed {QUADRATURE_MAX_POINTS}")
+    try:
+        QuadratureSpec(resolution=value).node_counts()
+    except QuadratureBudgetExceeded as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return value
 
 
@@ -206,8 +205,14 @@ def cmd_moduli_dim(args) -> int:
 
 
 def _load_data(path) -> ADHMData:
-    with open(path) as fh:
-        return ADHMData.from_json_dict(json.load(fh))
+    """The ADHM data of a --data file; a defect in it is a usage error."""
+    try:
+        with open(path) as fh:
+            return ADHMData.from_json_dict(json.load(fh))
+    except (OSError, ValueError, LookupError, TypeError,
+            StarAlgebraError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"argument --data: {detail}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -756,15 +756,27 @@ def hopf_letter_monomial(hg: GeneratorId):
         raise ModelMismatch(f"{hg} is not a Hopf letter") from None
 
 
+def smash_image(model: TwistModel, head, g: GeneratorId) -> NCPolynomial:
+    """``head`` times the smash image of the coordinate letter ``g``.
+
+    The image is sum c (Hopf letters of h) x over the coaction legs
+    (c, h, x) of ``g``; the letters of the word ``head`` stand in front.
+    """
+    out = NCPolynomial.zero()
+    for c, hm, x in model.coaction(g):
+        out = out + NCPolynomial.from_word(head + hm.letters() + (x,), c)
+    return out
+
+
 def smash_relations(model: TwistModel, k=1,
                     include_monad=True) -> RelationSystem:
     """Joint rewrite system of the smash product (algebra (x) Hopf letters).
 
     Monad letters (unless left out) obey their twisted relations, Hopf
     letters act on them via the canonical action, coordinate letters commute
-    with both, as in the bosonised picture.  Unlisted pairs commute.  Without
-    monad letters this is the home of the bosonised monad maps with numeric
-    entries.
+    with both, as in the bosonised picture.  Unlisted pairs commute.  The
+    bosonised monad maps with numeric entries live here, with or without
+    the monad letters.
     """
     hopf = list(model.hopf_letters())
     mon = list(model.generators(MONAD_M, k=k)) if include_monad else []

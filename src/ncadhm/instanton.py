@@ -16,15 +16,18 @@ anti-self-dual (the construction fixes no orientation by itself).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._report import Check, Report
-from .hopf_twist import ModelMismatch, TwistModel, smash_relations, z
+from .hopf_twist import (
+    ModelMismatch, TwistModel, monad_m, smash_image, smash_relations, z,
+)
 from .monad import (
     SYMBOLIC_TOL, ADHMData, MonadMatrices, PolyMatrix, ShapeError, _dag,
-    bosonise_j_map, bosonise_monad, build_monad, monad_m,
+    bosonise_j_map, bosonise_monad, build_monad,
 )
 from .star_algebra import (
     AUX, MONAD_M, GeneratorId, NCPolynomial, RelationSystem, multiply,
@@ -120,6 +123,7 @@ def _monad_of(data: ADHMData) -> MonadMatrices:
     place gets a new monad, validated again.
     """
     global _monad_memo
+    _require_classical(data)
     key = (data.k, np.complex128(data.model.mu).tobytes()) + tuple(
         (a.shape, a.dtype.str, a.tobytes())
         for a in (data.B1, data.B2, data.I, data.J))
@@ -132,13 +136,8 @@ def _monad_of(data: ADHMData) -> MonadMatrices:
 
 def evaluate_projector(data: ADHMData, x: PointR4) -> ConnectionSample:
     """The rank-2k projector Q and its complement P at one plane point."""
-    _require_classical(data)
     V = _v_batch(_monad_of(data), x.zeta1, x.zeta2)
-    s1 = V[:, :data.k]
-    rho2 = _dag(s1) @ s1
-    ev = np.linalg.eigvalsh(rho2)
-    if ev.min() < SINGULAR_CUTOFF:
-        raise SingularRho(f"sigma_min(rho2) = {ev.min():.3e} at {x}")
+    rho2 = _checked_rho2(V[:, :data.k], x)
     Q = _projector(V)[3]
     P = np.eye(2 * data.k + 2) - Q
     return ConnectionSample(x, V, rho2, Q, P)
@@ -205,13 +204,13 @@ def _per_point(m: MonadMatrices, z1, z2, reduce):
 
 def _plane_points(data: ADHMData, points):
     """The monad and the coordinate arrays of the points, guarded."""
-    _require_classical(data)
     m = _monad_of(data)
     z1 = np.array([p.zeta1 for p in points], dtype=complex)
     z2 = np.array([p.zeta2 for p in points], dtype=complex)
     if z1.size == 0:
         raise ShapeError("no sample points given")
-    _guard_singular(m, z1, z2)
+    s1, _ = monad_pair_at(m, z1, z2)
+    _checked_rho2(s1, "a sample point")
     return m, z1, z2
 
 
@@ -238,12 +237,13 @@ def curvature_samples(data: ADHMData, points):
     return out
 
 
-def _guard_singular(m, z1, z2):
-    s1, _ = monad_pair_at(m, z1, z2)
+def _checked_rho2(s1, where):
+    """rho2 = sigma_(1)+ sigma_(1) over the last two axes, or SingularRho
+    when an eigenvalue falls below SINGULAR_CUTOFF."""
     rho2 = _dag(s1) @ s1
-    ev = np.linalg.eigvalsh(rho2)
-    if ev.min() < SINGULAR_CUTOFF:
-        raise SingularRho("zero-size locus hit by a sample point")
+    if np.linalg.eigvalsh(rho2).min() < SINGULAR_CUTOFF:
+        raise SingularRho(f"zero-size locus hit by {where}")
+    return rho2
 
 
 def finite_difference_curvature(data: ADHMData, x: PointR4, step=1e-5):
@@ -280,8 +280,14 @@ class QuadratureSpec:
     resolution: int = 12
 
     def node_counts(self):
+        """Radial, two polar and periodic node counts, within the budget."""
         r = self.resolution
-        return (4 * r, r, r, 2 * r)
+        counts = (4 * r, r, r, 2 * r)
+        points = math.prod(counts)
+        if points > QUADRATURE_MAX_POINTS:
+            raise QuadratureBudgetExceeded(
+                f"{points} quadrature points exceed {QUADRATURE_MAX_POINTS}")
+        return counts
 
 
 def _density(m: MonadMatrices, z1, z2):
@@ -289,12 +295,11 @@ def _density(m: MonadMatrices, z1, z2):
 
 
 def _density_of(F):
-    t = (np.einsum("pij,pji->p", F[:, 0, 1], F[:, 2, 3])
-         - np.einsum("pij,pji->p", F[:, 0, 2], F[:, 1, 3])
-         + np.einsum("pij,pji->p", F[:, 0, 3], F[:, 1, 2]))
-    # orientation fixed with the Hodge convention above; sign pinned so the
-    # unit-charge reference datum integrates to +1
-    return -np.real(t) / (4 * np.pi ** 2)
+    # orientation from the Hodge pairs above; sign pinned so the unit-charge
+    # reference datum integrates to +1
+    t = sum(s * np.einsum("pij,pji->p", F[:, a, b], F[:, c, d])
+            for (a, b), (c, d), s in _HODGE)
+    return np.real(t) / (4 * np.pi ** 2)
 
 
 def charge(data: ADHMData, quad: QuadratureSpec | None = None) -> float:
@@ -306,9 +311,6 @@ def charge(data: ADHMData, quad: QuadratureSpec | None = None) -> float:
     _require_classical(data)
     quad = quad or QuadratureSpec()
     n_r, n_t1, n_t2, n_p = quad.node_counts()
-    if n_r * n_t1 * n_t2 * n_p > QUADRATURE_MAX_POINTS:
-        raise QuadratureBudgetExceeded(
-            f"{n_r * n_t1 * n_t2 * n_p} points exceed {QUADRATURE_MAX_POINTS}")
     scale = _charge_scale(data)
 
     xs, ws = np.polynomial.legendre.leggauss(n_r)
@@ -366,7 +368,9 @@ def symbolic_projector_checks(data: ADHMData) -> Report:
     theta = model.theta
     tol = SYMBOLIC_TOL
     m = build_monad(data)
-    sigma, tau, rel = bosonise_monad(m, model)
+    # one smash system with the monad letters serves all four checks
+    rel = smash_relations(model, k=data.k)
+    sigma, tau = bosonise_monad(m, model, rel)
     sigma_j = bosonise_j_map(m, model, rel)
 
     checks = []
@@ -379,7 +383,7 @@ def symbolic_projector_checks(data: ADHMData) -> Report:
     r2 = (rho_a - rho_b).map(lambda p: normal_form(p, rel)).eval_max_norm(theta)
     checks.append(Check("polarised_rho2", r2 <= tol, r2, tol))
 
-    r3 = _centrality_residual(model, data.k)
+    r3 = _centrality_residual(model, rel, data.k)
     checks.append(Check("rho2_centrality", r3 <= tol, r3, tol))
 
     if data.k == 1:
@@ -389,37 +393,27 @@ def symbolic_projector_checks(data: ADHMData) -> Report:
     return Report(checks)
 
 
-def _centrality_residual(model: TwistModel, k: int) -> float:
+def _centrality_residual(model: TwistModel, rel: RelationSystem,
+                         k: int) -> float:
     """Centrality of rho2 with symbolic monad generators (family level).
 
     The bosonised algebra is generated by the monad entries together with
     the Hopf-dressed coordinate functions; the entries of rho2 built from
     symbolic generators commute with all of them (for the torus model this
-    is the zero-net-weight bookkeeping).
+    is the zero-net-weight bookkeeping).  ``rel`` is the smash system with
+    the index-``k`` monad letters.
     """
-    rel = smash_relations(model, k=k)
-
     def sym(a, b):
         """sum_j M^j_ab (x) (coaction of z_j), the (a, b) entry of sigma."""
         out = NCPolynomial.zero()
         for j in range(1, 5):
-            for c, hm, x in model.coaction(z(j)):
-                out = out + NCPolynomial.from_word(
-                    (monad_m(j, a, b),) + hm.letters() + (x,), c)
-        return normal_form(out, rel)
-
-    def dressed_coordinate(j, conj=False):
-        g = z(j, conj)
-        out = NCPolynomial.zero()
-        for c, hm, x in model.coaction(g):
-            out = out + NCPolynomial.from_word(hm.letters() + (x,), c)
+            out = out + smash_image(model, (monad_m(j, a, b),), z(j))
         return normal_form(out, rel)
 
     test_elements = [NCPolynomial.from_generator(g) for g in rel.generators
                      if g.space == MONAD_M]
-    for j in range(1, 5):
-        test_elements.append(dressed_coordinate(j))
-        test_elements.append(dressed_coordinate(j, conj=True))
+    test_elements += [normal_form(smash_image(model, (), z(j, conj)), rel)
+                      for j in range(1, 5) for conj in (False, True)]
 
     S = PolyMatrix([[sym(a, b) for b in range(1, k + 1)]
                     for a in range(1, 2 * k + 3)])
@@ -485,6 +479,4 @@ def _projector_idempotency_residual(sigma, sigma_j, rho2_mat, rel, theta):
 
     x_red = reduce_modulo(X, rel2, [multiply(rinv, rho2, rel2)
                                     - NCPolynomial.one()])
-    res = max(struct, sandwich.eval_max_norm(theta),
-              x_red.eval_norm(theta))
-    return res
+    return max(struct, sandwich.eval_max_norm(theta), x_red.eval_norm(theta))

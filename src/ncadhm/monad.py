@@ -17,7 +17,7 @@ import numpy as np
 
 from ._report import Check, Report
 from .hopf_twist import (
-    TwistModel, hopf_letter_monomial, model_from_json, monad_m,
+    TwistModel, hopf_letter_monomial, model_from_json, monad_m, smash_image,
     smash_relations, z,
 )
 from .star_algebra import (
@@ -254,16 +254,9 @@ class PolyMatrix:
         return PolyMatrix([[adjoint(self.entries[a][b], rel)
                             for a in range(rows)] for b in range(cols)])
 
-    def __add__(self, other):
-        return PolyMatrix([[x + y for x, y in zip(r1, r2)]
-                           for r1, r2 in zip(self.entries, other.entries)])
-
     def __sub__(self, other):
         return PolyMatrix([[x - y for x, y in zip(r1, r2)]
                            for r1, r2 in zip(self.entries, other.entries)])
-
-    def scale(self, c):
-        return PolyMatrix([[x.scale(c) for x in row] for row in self.entries])
 
     def map(self, f):
         return PolyMatrix([[f(x) for x in row] for row in self.entries])
@@ -275,61 +268,54 @@ class PolyMatrix:
 
 # -- bosonised monad maps ---------------------------------------------------------
 
-def bosonise_monad(m: MonadMatrices, model: TwistModel, tilde_basis=True):
+# The signed coordinate letters of sigma and of its quaternionic partner,
+# J(z_1..z_4) = (-z2*, z1*, -z4*, z3*).
+_Z_LETTERS = tuple((1.0, z(j)) for j in range(1, 5))
+_J_LETTERS = ((-1.0, z(2, True)), (1.0, z(1, True)),
+              (-1.0, z(4, True)), (1.0, z(3, True)))
+
+
+def bosonise_monad(m: MonadMatrices, model: TwistModel, rel,
+                   tilde_basis=True):
     """Smash-valued monad maps over (Hopf letters) x (deformed coordinates).
 
     With ``tilde_basis`` the numeric blocks are read as values of the
     commuting tilde generators (the convention of the canonical forms);
-    without it they multiply the raw coaction legs.  Returns
-    ``(sigma, tau, rel)``.
+    without it they multiply the raw coaction legs.  ``rel`` is a
+    :func:`smash_relations` system of the model, with or without monad
+    letters: words without them normal-order the same in both.  Returns
+    ``(sigma, tau)``.
     """
-    rel = smash_relations(model, include_monad=False)
-    sigma = _dressed_map(m.M, model, _z_letters(), tilde_basis,
-                         (2 * m.k + 2, m.k)).map(lambda p: normal_form(p, rel))
-    tau = _dressed_map(m.N, model, _z_letters(), tilde_basis,
-                       (m.k, 2 * m.k + 2)).map(lambda p: normal_form(p, rel))
-    return sigma, tau, rel
+    sigma = _dressed_map(m.M, model, _Z_LETTERS, tilde_basis, rel)
+    tau = _dressed_map(m.N, model, _Z_LETTERS, tilde_basis, rel)
+    return sigma, tau
 
 
-def _z_letters():
-    return [z(j) for j in range(1, 5)]
-
-
-def _j_letters():
-    # J(z_1..z_4) = (-z2*, z1*, -z4*, z3*) as signed letters
-    return [(-1.0, z(2, True)), (1.0, z(1, True)),
-            (-1.0, z(4, True)), (1.0, z(3, True))]
-
-
-def _dressed_map(blocks, model, letters, tilde_basis, shape, signs=None):
-    """sum_r M^r (x) (coaction of letter_r), optionally in the tilde basis."""
-    signs = signs or [1.0] * 4
+def _dressed_map(blocks, model, letters, tilde_basis, rel):
+    """sum_r sign_r M^r (x) (coaction of letter_r), normal-ordered in rel,
+    optionally in the tilde basis; ``letters`` holds (sign, letter) pairs."""
     wpolys = {s: NCPolynomial.zero() for s in range(1, 5)}
-    for r in range(4):
-        for c, hm, x in model.coaction(letters[r]):
-            if tilde_basis:
-                for c2, s, hm2 in model.tilde_decompose(r + 1, hm):
-                    wpolys[s] = wpolys[s] + NCPolynomial.from_word(
-                        hm2.letters() + (x,), signs[r] * c * c2)
-            else:
-                wpolys[r + 1] = wpolys[r + 1] + NCPolynomial.from_word(
-                    hm.letters() + (x,), signs[r] * c)
-    return PolyMatrix.from_scalar_matrices(
-        [(blocks[s - 1], wpolys[s]) for s in range(1, 5)], shape)
+    for r, (sign, g) in enumerate(letters):
+        if not tilde_basis:
+            wpolys[r + 1] = smash_image(model, (), g).scale(sign)
+            continue
+        for c, hm, x in model.coaction(g):
+            for c2, s, hm2 in model.tilde_decompose(r + 1, hm):
+                wpolys[s] = wpolys[s] + NCPolynomial.from_word(
+                    hm2.letters() + (x,), sign * c * c2)
+    out = PolyMatrix.from_scalar_matrices(
+        [(blocks[s - 1], wpolys[s]) for s in range(1, 5)], blocks[0].shape)
+    return out.map(lambda p: normal_form(p, rel))
 
 
 def bosonise_j_map(m: MonadMatrices, model: TwistModel, rel):
     """The quaternionic partner map sigma_{J(z)} in the smash picture.
 
-    ``rel`` is the smash system that :func:`bosonise_monad` returns.  For
+    ``rel`` is the smash system given to :func:`bosonise_monad`.  For
     self-conjugate data this map coincides with the adjoint of the
     bosonised tau map.
     """
-    signs = [s for s, _ in _j_letters()]
-    letters = [g for _, g in _j_letters()]
-    out = _dressed_map(m.M, model, letters, True, (2 * m.k + 2, m.k),
-                       signs=signs)
-    return out.map(lambda p: normal_form(p, rel))
+    return _dressed_map(m.M, model, _J_LETTERS, True, rel)
 
 
 def monad_residual(m: MonadMatrices, model: TwistModel) -> PolyMatrix:
@@ -340,7 +326,8 @@ def monad_residual(m: MonadMatrices, model: TwistModel) -> PolyMatrix:
     composition picks up the constant shift i hbar (alpha + beta) on the
     z1 z2 word from reordering z4 z3.
     """
-    sigma, tau, rel = bosonise_monad(m, model)
+    rel = smash_relations(model, include_monad=False)
+    sigma, tau = bosonise_monad(m, model, rel)
     comp = tau.matmul(sigma, rel)
     return comp.map(lambda p: normal_form(p, rel))
 

@@ -252,9 +252,6 @@ class NCPolynomial:
             out._accum(k, -v)
         return out
 
-    def __neg__(self):
-        return NCPolynomial({k: -v for k, v in self.terms.items()})
-
     def scale(self, c: complex) -> "NCPolynomial":
         if abs(c) <= TOL:
             return NCPolynomial()

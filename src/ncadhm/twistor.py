@@ -23,10 +23,6 @@ RESIDUAL_TOL = 1e-12
 
 # -- commutative quotient contexts -------------------------------------------
 
-def _commutative_relation_system(generators, star_overrides=None):
-    return RelationSystem(generators, {}, star_table=star_overrides)
-
-
 @dataclass
 class QuotientContext:
     """A commutative algebra together with side relations declared zero.
@@ -82,19 +78,19 @@ for _n in ("a1", "a2", "a3", "a4"):
 
 def c4_ring():
     gens = ClassicalModel().generators(C4, calculus=False)
-    return _commutative_relation_system(gens)
+    return RelationSystem(gens, {})
 
 
 def s4_ring():
     """The four-sphere coordinates with the inverse of 1 + x0 adjoined."""
     gens = [X0, X1, X1S, X2, X2S, X0_INV]
-    return _commutative_relation_system(gens, _SELF_ADJOINT)
+    return RelationSystem(gens, {}, star_table=_SELF_ADJOINT)
 
 
 def r4_ring():
     """The plane coordinates with the inverse of 1 + |zeta|^2 adjoined."""
     gens = list(ClassicalModel().generators(R4, calculus=False)) + [R4_INV]
-    return _commutative_relation_system(gens, _SELF_ADJOINT)
+    return RelationSystem(gens, {}, star_table=_SELF_ADJOINT)
 
 
 def word(*gens):

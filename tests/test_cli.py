@@ -385,3 +385,56 @@ def test_verify_monad_full_output_is_byte_identical_for_k2(tmp_path, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
         GOLDEN_VERIFY_FULL_TORIC_K2
+
+
+def test_verify_monad_full_derives_the_coordinate_rules_once(
+        tmp_path, capsys, monkeypatch):
+    from ncadhm import hopf_twist
+    from ncadhm.star_algebra import C4
+
+    path = tmp_path / "sol.json"
+    _golden_solve("toric", 1, path)
+    pair_rules = hopf_twist._pair_rules
+    coordinate_calls = []
+
+    def counted(model, gens):
+        if any(g.space == C4 for g in gens):
+            coordinate_calls.append(len(gens))
+        return pair_rules(model, gens)
+
+    monkeypatch.setattr(hopf_twist, "_pair_rules", counted)
+    assert run(["verify-monad", "--data", str(path), "--full"]) == 0
+    assert len(coordinate_calls) == 1
+
+
+def _data_with(**changes):
+    obj = ADHMData.zero(1, ClassicalModel()).to_json_dict()
+    obj.update(changes)
+    return obj
+
+
+@pytest.mark.parametrize("content", [
+    None,  # a directory
+    "{not json",
+    [1, 2],
+    {k: v for k, v in _data_with().items() if k != "J"},
+    _data_with(B1=[[[0]]]),
+    _data_with(B1=[[["a", 0]]]),
+    _data_with(model={"model": "moyal", "hbar": "x", "alpha": 1.0,
+                      "beta": 1.0}),
+    _data_with(model={"model": "toric", "theta": None}),
+], ids=["directory", "not-json", "list", "missing-key", "non-pair",
+        "string-entry", "string-hbar", "null-theta"])
+def test_bad_data_file_is_a_usage_error(content, tmp_path, capsys):
+    path = tmp_path / "data.json"
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, str):
+        path.write_text(content)
+    else:
+        path.write_text(json.dumps(content))
+    for command in ("moduli-dim", "instanton", "charge", "verify-monad"):
+        assert run([command, "--data", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: argument --data: ")

@@ -98,6 +98,16 @@ def test_singular_rho_guard():
         evaluate_projector(d, PointR4(0.0, 0.0))
 
 
+@pytest.mark.parametrize("evaluate", [curvature_asd, curvature_samples])
+def test_singular_rho_guard_on_point_batches(evaluate):
+    # the origin among regular points: the batched guard rejects the batch
+    d = ADHMData.zero(1, ClassicalModel())
+    points = random_points(5, seed=4)
+    points.insert(2, PointR4(0.0, 0.0))
+    with pytest.raises(SingularRho):
+        evaluate(d, points)
+
+
 def test_asd_residual_small_on_solutions(solved_k1, solved_k2):
     for d in (solved_k1, solved_k2):
         rep = curvature_asd(d, random_points(50, seed=2))

@@ -151,7 +151,9 @@ def test_bosonise_monad_raw_legs():
     model = MoyalModel(0.25, 1.0, 1.0)
     d = canonical_moyal()
     m = build_monad(d)
-    sigma, tau, rel = bosonise_monad(m, model, tilde_basis=False)
+    sigma, tau = bosonise_monad(m, model,
+                                smash_relations(model, include_monad=False),
+                                tilde_basis=False)
     # the M3 block multiplies t1* (x) z1 + t2* (x) z2 + 1 (x) z3
     t1s = model.hopf_letters()[1]
     t2s = model.hopf_letters()[3]
@@ -162,14 +164,18 @@ def test_bosonise_monad_raw_legs():
 
     # toric: sigma = sum_r M^r (x) varsigma_r (x) z_r
     dt = canonical_toric()
-    st, _, relt = bosonise_monad(build_monad(dt), dt.model, tilde_basis=False)
+    st, _ = bosonise_monad(build_monad(dt), dt.model,
+                           smash_relations(dt.model, include_monad=False),
+                           tilde_basis=False)
     s2 = dt.model.hopf_letters()[2]
     assert st.entries[0][0].coefficient((z(3), s2)).approx_eq(Coefficient(1.0))
 
     # trivial coaction: plain matrices with unit Hopf parts
     dc = ADHMData.zero(1, ClassicalModel())
     dc.I[0, 0] = 1.0
-    sc, _, _ = bosonise_monad(build_monad(dc), dc.model, tilde_basis=False)
+    sc, _ = bosonise_monad(build_monad(dc), dc.model,
+                           smash_relations(dc.model, include_monad=False),
+                           tilde_basis=False)
     for a, row in enumerate(sc.entries):
         for p in row:
             for (w, h, mu), v in p.terms.items():

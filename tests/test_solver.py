@@ -3,8 +3,8 @@ import pytest
 
 from ncadhm.adhm_solver import (
     JacobianAnalysis, NoConvergence, NotASolution, SolveConfig,
-    constraint_jacobian, gauge_distance, moduli_dimension, residual_vector,
-    solve, solve_history,
+    _lm_minimize, _random_start, constraint_jacobian, gauge_distance,
+    moduli_dimension, residual_vector, solve,
 )
 from ncadhm.hopf_twist import ClassicalModel, MoyalModel, ToricModel
 from ncadhm.monad import ADHMData, ShapeError, adhm_residual
@@ -55,8 +55,10 @@ def test_solve_config_rejects_non_finite_tolerance(tolerance):
 
 
 def test_residual_monotone_history():
-    _, history = solve_history(1, MoyalModel(0.25, 1.0, 1.0),
-                               SolveConfig(rng_seed=1, multistarts=1))
+    cfg = SolveConfig(rng_seed=1, multistarts=1)
+    start = _random_start(1, MoyalModel(0.25, 1.0, 1.0),
+                          np.random.default_rng(cfg.rng_seed))
+    _, history = _lm_minimize(start, cfg)
     assert all(b <= a + 1e-15 for a, b in zip(history, history[1:]))
 
 

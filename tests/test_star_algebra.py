@@ -7,7 +7,8 @@ from ncadhm.star_algebra import (
     normal_form, reduce_modulo, C4,
 )
 from ncadhm.hopf_twist import (
-    ClassicalModel, MoyalModel, ToricModel, derive_relations, z, zeta,
+    ClassicalModel, MoyalModel, ToricModel, derive_relations,
+    smash_relations, z, zeta,
 )
 from ncadhm.instanton import RHO2_INV
 from ncadhm.monad import ADHMData, adhm_residual, bosonise_monad, build_monad
@@ -283,7 +284,8 @@ def test_reduce_modulo_formal_inverse():
     d = ADHMData(1, model, [[0.3 + 0.1j]], [[-0.2j]],
                  [[np.sqrt(model.zeta_level), 0.0]], [[0.0], [0.0]])
     assert sum(adhm_residual(d)) <= 1e-15
-    sigma, _, rel = bosonise_monad(build_monad(d), model)
+    rel = smash_relations(model, include_monad=False)
+    sigma, _ = bosonise_monad(build_monad(d), model, rel)
     rho2 = sigma.adjoint(rel).matmul(sigma, rel).entries[0][0]
     rel2 = RelationSystem(list(rel.generators) + [RHO2_INV], rel.rules,
                           theta=rel.theta)

@@ -54,12 +54,22 @@ def _model_from_args(args) -> object:
         raise ModelMismatch(f"argument --{flag}: {exc}") from exc
 
 
+def _int_at_least(text, least) -> int:
+    value = int(text)
+    if value < least:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {least}, got {value}")
+    return value
+
+
 def _positive_int(text) -> int:
     """argparse type for counts and sizes that must be at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+    return _int_at_least(text, 1)
+
+
+def _nonnegative_int(text) -> int:
+    """argparse type for random seeds, which numpy takes only from 0 up."""
+    return _int_at_least(text, 0)
 
 
 def _positive_float(text) -> float:
@@ -130,6 +140,11 @@ def cmd_solve(args) -> int:
         _emit({"error": "NoConvergence", "best_residual": exc.best_residual},
               args.out)
         return 1
+    except StarAlgebraError as exc:
+        # solve checks zeta against the model level before any other work
+        if str(exc).startswith("zeta "):
+            raise ValueError(f"argument --zeta: {exc}") from exc
+        raise
     c, h = adhm_residual(data)
     out = data.to_json_dict()
     out["report"] = {"complex_residual": c, "real_residual": h,
@@ -240,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--zeta", type=_finite_float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--multistarts", type=_positive_int, default=8)
     p.add_argument("--tolerance", type=_positive_float, default=1e-12)
     p.add_argument("--max-iterations", type=_positive_int, default=200)
@@ -258,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("instanton", help="projector and curvature samples")
     p.add_argument("--data", required=True)
     p.add_argument("--points", type=_positive_int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--check-asd", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_instanton)

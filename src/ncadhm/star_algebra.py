@@ -79,6 +79,12 @@ class GeneratorId:
 
     ``grade`` is 0 for functions and 1 for differentials; ``row``/``col``
     are used only by matrix-valued generator families (monad entries).
+
+    Letters are dict and set keys in every rewrite step, so the hash is
+    computed once, in ``__post_init__``: ``hash((space, index, conjugated,
+    grade, row, col))``, the value of the plain frozen dataclass.  Equality
+    tests identity, then the cached hash, then the fields (``_key`` holds
+    them all); a letter never equals an object of another type.
     """
 
     space: str
@@ -94,6 +100,24 @@ class GeneratorId:
         key = (_SPACE_RANK[self.space], self.index, self.row, self.col,
                self.conjugated, self.grade)
         object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash((
+            self.space, self.index, self.conjugated, self.grade, self.row,
+            self.col)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, GeneratorId):
+            return NotImplemented
+        return self._hash == other._hash and self._key == other._key
+
+    def __reduce__(self):
+        # rebuilt through __init__: a pickle never carries a stale str hash
+        return (GeneratorId, (self.space, self.index, self.conjugated,
+                              self.grade, self.row, self.col))
 
     @property
     def sort_key(self):
@@ -365,12 +389,13 @@ class RelationSystem:
 
     def __init__(self, generators, rules, star_table=None, theta=None,
                  meta=None):
-        self.generators = tuple(sorted(set(generators), key=lambda g: g.sort_key))
+        self.generator_set = frozenset(generators)
+        self.generators = tuple(sorted(self.generator_set,
+                                       key=lambda g: g.sort_key))
         self.rules = dict(rules)
-        gen_set = set(self.generators)
         table = {}
         for g in self.generators:
-            table[g] = g.star() if g.star() in gen_set else g
+            table[g] = g.star() if g.star() in self.generator_set else g
         if star_table:
             table.update(star_table)
         self.star_table = table
@@ -384,9 +409,8 @@ class RelationSystem:
             raise UnknownGenerator(f"{g} has no adjoint image") from None
 
     def check_generators(self, p: NCPolynomial):
-        known = set(self.generators)
         for g in p.generators():
-            if g not in known:
+            if g not in self.generator_set:
                 raise UnknownGenerator(f"{g} not in relation system")
 
     @property
@@ -569,7 +593,6 @@ def differential(p: NCPolynomial, rel: RelationSystem) -> NCPolynomial:
     if not rel.has_calculus:
         raise MissingCalculus("relation system has no grade-1 generators")
     rel.check_generators(p)
-    gen_set = set(rel.generators)
     out = {}
     for (w, h, m), v in p.terms.items():
         sign = 1
@@ -578,7 +601,7 @@ def differential(p: NCPolynomial, rel: RelationSystem) -> NCPolynomial:
                 sign = -sign
                 continue
             dg = g.d()
-            if dg not in gen_set:
+            if dg not in rel.generator_set:
                 continue  # letters without differentials are constants
             nw = w[:i] + (dg,) + w[i + 1:]
             key = (nw, h, m)

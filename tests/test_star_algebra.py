@@ -1,10 +1,16 @@
+import copy
+import dataclasses
+import itertools
+import pickle
+
 import numpy as np
 import pytest
 
 from ncadhm.star_algebra import (
     Coefficient, GeneratorId, NCPolynomial, NonTerminating, RelationSystem,
     MissingCalculus, UnknownGenerator, adjoint, differential, multiply,
-    normal_form, reduce_modulo, C4,
+    normal_form, reduce_modulo, AUX, C4, CP3, HOPF_TORUS, HOPF_TRANS, MONAD_M,
+    R4, S4,
 )
 from ncadhm.hopf_twist import (
     ClassicalModel, MoyalModel, ToricModel, derive_relations,
@@ -215,6 +221,149 @@ def test_differential_requires_calculus():
 def test_unknown_generator(moyal_c4):
     with pytest.raises(UnknownGenerator):
         normal_form(word(zeta(1)), moyal_c4)
+
+
+@pytest.mark.parametrize("op", [
+    lambda p, rel: multiply(word(z(1)), p, rel),
+    lambda p, rel: multiply(p, word(z(1)), rel),
+    normal_form,
+    adjoint,
+], ids=["multiply-right", "multiply-left", "normal_form", "adjoint"])
+def test_every_entry_point_rejects_an_outside_letter(op, moyal_c4):
+    # the system's generator set is built once and read on every call
+    for _ in range(2):
+        with pytest.raises(UnknownGenerator):
+            op(word(z(3), zeta(1)), moyal_c4)
+    assert not op(word(z(4), z(3)), moyal_c4).is_structurally_zero()
+
+
+def test_duplicate_generators_check_the_same(moyal_c4):
+    gens = list(moyal_c4.generators)
+    doubled = RelationSystem(gens + gens[::-1] + [GeneratorId(C4, 3)],
+                             moyal_c4.rules, theta=moyal_c4.theta)
+    assert doubled.generators == moyal_c4.generators
+    assert doubled.generator_set == moyal_c4.generator_set
+    assert doubled.star_table == moyal_c4.star_table
+    p = word(z(4), z(3), z(1, True))
+    assert normal_form(p, doubled).terms == normal_form(p, moyal_c4).terms
+    with pytest.raises(UnknownGenerator):
+        normal_form(word(zeta(2)), doubled)
+
+
+_SPACES = (AUX, C4, R4, S4, CP3, MONAD_M, HOPF_TRANS, HOPF_TORUS)
+
+
+def _all_letters():
+    """Letters of every space, both grades and conjugations, several slots."""
+    return [GeneratorId(*fields) for fields in itertools.product(
+        _SPACES, (-1, 1, 3), (False, True), (0, 1), (0, 2), (0, 1))]
+
+
+def _fields(g):
+    return (g.space, g.index, g.conjugated, g.grade, g.row, g.col)
+
+
+def test_letter_hash_is_the_field_tuple_hash():
+    for g in _all_letters():
+        assert hash(g) == hash(_fields(g))
+
+
+def test_separately_built_letters_are_one_key():
+    letters = _all_letters()
+    twins = _all_letters()
+    assert len(set(letters)) == len(letters)
+    assert len(set(letters) | set(twins)) == len(letters)
+    table = {g: i for i, g in enumerate(letters)}
+    for i, (g, twin) in enumerate(zip(letters, twins)):
+        assert g is not twin and g == twin and not g != twin
+        assert table[twin] == i
+    # rule keys are pairs of letters built apart from the words they rewrite
+    a, b = GeneratorId(C4, 2), GeneratorId(C4, 1)
+    rules = {(a, b): (((GeneratorId(C4, 1), GeneratorId(C4, 2)),
+                       Coefficient(2.0)),)}
+    assert (GeneratorId(C4, 2), GeneratorId(C4, 1)) in rules
+    rel = RelationSystem([a, b], rules)
+    p = normal_form(word(GeneratorId(C4, 2), GeneratorId(C4, 1)), rel)
+    assert p.terms == {((b, a), 0, 0): 2.0}
+
+
+def test_letter_never_equals_another_type():
+    g = z(1)
+    assert g != "z1"
+    assert g != _fields(g)
+    assert not g == _fields(g)
+    assert g.__eq__(_fields(g)) is NotImplemented
+    assert g != z(1, conj=True) and g != z(1, grade=1)
+
+
+def test_copies_keep_equality_and_hash():
+    for g in _all_letters()[::7]:
+        pickled = pickle.dumps(g)
+        # str hashes differ between interpreters: a pickle carries the
+        # fields, and the loaded letter hashes them again
+        assert b"_hash" not in pickled
+        for c in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickled)):
+            assert c == g and hash(c) == hash(g) == hash(_fields(c))
+            assert c.sort_key == g.sort_key
+
+
+def test_letters_stay_frozen():
+    g = z(1)
+    for name, value in (("index", 2), ("grade", 1), ("_hash", 0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g, name, value)
+    assert hash(g) == hash(_fields(g)) and g.index == 1
+
+
+def _clock_shift_images(theta_p, theta_q, a, b, c, d):
+    """Matrices of size 2q obeying the torus C4 rules at theta = p/q.
+
+    With omega = exp(i pi theta), clock C e_j = omega^j e_j and shift
+    S e_j = e_{j+1} satisfy S C^-1 = omega C^-1 S, so z1 -> a C^-1,
+    z2 -> b C, z3 -> c S, z4 -> d S^-1 (and z* -> adjoint) satisfy
+    z3 z1 = mu z1 z3 with mu = omega, and the rest of the derived rules.
+    """
+    n = 2 * theta_q
+    omega = np.exp(1j * np.pi * theta_p / theta_q)
+    clock = np.diag(omega ** np.arange(n))
+    shift = np.roll(np.eye(n), 1, axis=0)
+    images = {z(1): a * clock.conj().T, z(2): b * clock,
+              z(3): c * shift, z(4): d * shift.T}
+    for j in range(1, 5):
+        images[z(j, conj=True)] = images[z(j)].conj().T
+    return images
+
+
+@pytest.mark.parametrize("theta_p, theta_q", [(1, 4), (2, 5)])
+def test_torus_normal_form_against_clock_shift_matrices(theta_p, theta_q):
+    # an oracle independent of the rewrite engine: normal ordering must not
+    # change the matrix a word represents
+    theta = theta_p / theta_q
+    rel = derive_relations(ToricModel(theta), C4, calculus=False)
+    images = _clock_shift_images(theta_p, theta_q, 0.8 + 0.3j, -0.5 + 0.9j,
+                                 1.1 - 0.2j, 0.3 + 0.7j)
+    n = 2 * theta_q
+
+    def image(w):
+        out = np.eye(n, dtype=complex)
+        for g in w:
+            out = out @ images[g]
+        return out
+
+    for (a, b) in rel.rules:  # the derived rules hold in the matrices
+        (u, coeff), = rel.rules[(a, b)]
+        assert np.abs(image((a, b)) - coeff.evaluate(theta) * image(u)).max() \
+            <= 1e-12
+    rng = np.random.default_rng(7)
+    gens = list(rel.generators)
+    for _ in range(200):
+        w = tuple(gens[i] for i in rng.integers(0, len(gens),
+                                                 int(rng.integers(1, 7))))
+        nf = normal_form(NCPolynomial.from_word(w), rel)
+        total = np.zeros((n, n), dtype=complex)
+        for (u, h, m), v in nf.terms.items():
+            total += Coefficient(v, h, m).evaluate(theta) * image(u)
+        assert np.abs(total - image(w)).max() <= 1e-12
 
 
 def test_classical_limit_is_sorting():

@@ -3,23 +3,25 @@
 The equations are solved over the real and imaginary parts of (B1, B2, I, J)
 with a Levenberg-Marquardt iteration on the stacked residual vector: the 2k^2
 real components of the complex equation plus the k^2 real components of the
-Hermitian one.  The Jacobian is exact, not a finite difference, and is
-built in one batched evaluation over all 4k^2+8k unit directions.  The same
-Jacobian feeds the moduli-dimension analysis, which counts null directions
-of the constraint map at a solution and splits off the gauge orbit and the
-global frame rotations.
+Hermitian one.  The Jacobian is exact, not a finite difference.  In a unit
+direction every term of the equations' derivative only copies entries of
+the data, so it is gathered through a constant index table per k and is
+bit-identical to the matrix products it replaces.  The same Jacobian feeds
+the moduli-dimension analysis, which counts null directions of the
+constraint map at a solution and splits off the gauge orbit and the global
+frame rotations.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hopf_twist import TwistModel
 from .monad import (
-    ADHMData, ShapeError, _dag, adhm_equations, adhm_residual,
-    parameter_blocks,
+    ADHMData, ShapeError, _dag, adhm_equations, parameter_blocks,
 )
 
 
@@ -52,6 +54,8 @@ class SolveConfig:
     def __post_init__(self):
         if not 0 < self.tolerance < float("inf"):
             raise ValueError("tolerance must be positive and finite")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
         if self.multistarts < 1:
             raise ValueError("multistarts must be >= 1")
 
@@ -78,6 +82,13 @@ class JacobianAnalysis:
 
 # -- residual and Jacobian ------------------------------------------------------
 
+@functools.cache
+def _upper_indices(k):
+    """Rows and columns of the strictly upper entries of a k x k matrix, in
+    row order."""
+    return np.triu_indices(k, 1)
+
+
 def _constraint_components(ceq, herm):
     """The 3k^2 real constraint values along the last axis.
 
@@ -86,7 +97,7 @@ def _constraint_components(ceq, herm):
     real and imaginary part of each strictly upper entry in row order.
     """
     flat = ceq.shape[:-2] + (-1,)
-    rows, cols = np.triu_indices(herm.shape[-1], 1)
+    rows, cols = _upper_indices(herm.shape[-1])
     upper = herm[..., rows, cols]
     pairs = np.stack([upper.real, upper.imag], axis=-1).reshape(flat)
     return np.concatenate([ceq.real.reshape(flat), ceq.imag.reshape(flat),
@@ -98,36 +109,92 @@ def residual_vector(data: ADHMData) -> np.ndarray:
     return _constraint_components(*adhm_equations(data))
 
 
+def _entries(B1, B2, I, J):
+    """The 2k^2+4k complex entries of (B1, B2, I, J), flat, in block order."""
+    return np.concatenate([B1.ravel(), B2.ravel(), I.ravel(), J.ravel()])
+
+
+def _unit_images(e):
+    """[e, conj(e)] times 1, i and -i, then 0: every value that an entry of
+    a Jacobian term can take."""
+    both = np.concatenate([e, e.conj()])
+    return np.concatenate([both, 1j * both, -1j * both, [0]])
+
+
+def _bilinear_terms(x, d):
+    """Yield the seven terms of the equations' derivative at
+    x = (B1, B2, I, J) along d = (dB1, dB2, dI, dJ), stacked over the
+    leading axes of d.
+
+    R, C and P build the complex equation, conj(mu) R - mu C + P, and
+    S1..S4 the Hermitian one, S1 + S2 - S3 - S4.
+    """
+    B1, B2, I, J = x
+    dB1, dB2, dI, dJ = d
+    yield dB1 @ B2 + B1 @ dB2
+    yield dB2 @ B1 + B2 @ dB1
+    yield dI @ J + I @ dJ
+    yield dB1 @ _dag(B1) + dB2 @ _dag(B2) + dI @ _dag(I)
+    yield B1 @ _dag(dB1) + B2 @ _dag(dB2) + I @ _dag(dI)
+    yield _dag(dB1) @ B1 + _dag(dB2) @ B2 + _dag(dJ) @ J
+    yield _dag(B1) @ dB1 + _dag(B2) @ dB2 + _dag(J) @ dJ
+
+
+@functools.cache
+def _gather_table(k):
+    """Per term, the index into ``_unit_images`` of each entry of that term
+    in each of the 4k^2+8k unit directions.
+
+    Read off ``_bilinear_terms`` evaluated once on tag data: the parameter
+    vector 1, 2, ..., 4k^2+8k, so each entry is a + ib with a and b distinct
+    positive integers.  Its 6(2k^2+4k)+1 unit images are then pairwise
+    distinct, and each term entry, exactly one of them, names its slot.
+    """
+    n = 4 * k * k + 8 * k
+    tags = parameter_blocks(k, np.arange(1.0, n + 1))
+    images = _unit_images(_entries(*tags))
+    order = np.argsort(images)
+    units = parameter_blocks(k, np.eye(n))
+    return tuple(order[np.searchsorted(images, term, sorter=order)]
+                 for term in _bilinear_terms(tags, units))
+
+
 def constraint_jacobian(data: ADHMData) -> np.ndarray:
     """Exact real Jacobian of the 3k^2 constraints in the 4k^2+8k variables.
 
     The equations are quadratic, so column i is their bilinear derivative
-    along the i-th unit direction; all columns are evaluated in one batch.
-    Each matrix product has a unit direction as one factor and so copies
-    entries exactly, which makes every column bit-identical to evaluating
-    its direction on its own.
+    along the i-th unit direction.  There each entry of each of the seven
+    terms of ``_bilinear_terms`` is zero or one entry of the data or of its
+    conjugate times 1, i or -i: a product with a unit factor copies one
+    entry, and in any one direction at most one product of a term is
+    nonzero.  So one gather per term from ``_unit_images`` gives the term
+    in every direction, and the terms are combined in the order of the
+    equations.  Adding a structural zero leaves a value unchanged, so every
+    entry equals the one that the full matrix products give (an exact zero
+    may differ in sign).
     """
-    k = data.k
+    R, C, P, S1, S2, S3, S4 = _gather_table(data.k)
+    z = _unit_images(_entries(data.B1, data.B2, data.I, data.J))
     mu = data.model.mu
-    B1, B2, I, J = data.B1, data.B2, data.I, data.J
-    dB1, dB2, dI, dJ = parameter_blocks(k, np.eye(4 * k * k + 8 * k))
-    dceq = (np.conj(mu) * (dB1 @ B2 + B1 @ dB2)
-            - mu * (dB2 @ B1 + B2 @ dB1) + dI @ J + I @ dJ)
-    dherm = (dB1 @ _dag(B1) + B1 @ _dag(dB1) - _dag(dB1) @ B1 - _dag(B1) @ dB1
-             + dB2 @ _dag(B2) + B2 @ _dag(dB2) - _dag(dB2) @ B2 - _dag(B2) @ dB2
-             + dI @ _dag(I) + I @ _dag(dI) - _dag(dJ) @ J - _dag(J) @ dJ)
+    dceq = np.conj(mu) * z[R] - mu * z[C] + z[P]
+    dherm = z[S1] + z[S2] - z[S3] - z[S4]
     return _constraint_components(dceq, dherm).T
 
 
 # -- Levenberg-Marquardt ---------------------------------------------------------
 
 def _lm_minimize(data: ADHMData, cfg: SolveConfig):
+    """Levenberg-Marquardt descent from ``data``: (best point, residual
+    norm after each iteration).  The accepted point carries its parameter
+    vector and equations, so each trial evaluates the equations once."""
     lam = LM_DAMPING
-    r = residual_vector(data)
+    v = data.parameter_vector()
+    eqs = adhm_equations(data)
+    r = _constraint_components(*eqs)
     cost = float(r @ r)
     history = [np.sqrt(cost)]
     for _ in range(cfg.max_iterations):
-        if _residual_sum(data) <= cfg.tolerance:
+        if _residual_sum(*eqs) <= cfg.tolerance:
             break
         Jm = constraint_jacobian(data)
         g = Jm.T @ r
@@ -137,12 +204,13 @@ def _lm_minimize(data: ADHMData, cfg: SolveConfig):
         accepted = False
         for _ in range(60):
             step = np.linalg.solve(A + lam * np.diag(diag), -g)
-            cand = ADHMData.from_parameter_vector(
-                data.k, data.model, data.parameter_vector() + step)
-            rc = residual_vector(cand)
+            vc = v + step
+            cand = ADHMData.from_parameter_vector(data.k, data.model, vc)
+            eqc = adhm_equations(cand)
+            rc = _constraint_components(*eqc)
             cc = float(rc @ rc)
             if cc < cost:
-                data, r, cost = cand, rc, cc
+                data, v, eqs, r, cost = cand, vc, eqc, rc, cc
                 lam = max(lam / 3.0, 1e-14)
                 accepted = True
                 break
@@ -155,9 +223,9 @@ def _lm_minimize(data: ADHMData, cfg: SolveConfig):
     return data, history
 
 
-def _residual_sum(data: ADHMData) -> float:
-    c, h = adhm_residual(data)
-    return c + h
+def _residual_sum(ceq, herm) -> float:
+    """Summed Frobenius norms of the two equation matrices."""
+    return float(np.linalg.norm(ceq)) + float(np.linalg.norm(herm))
 
 
 def _random_start(k, model, rng) -> ADHMData:
@@ -192,7 +260,7 @@ def solve(k: int, model: TwistModel, zeta: float | None = None,
     for start in range(cfg.multistarts):
         child = np.random.default_rng(rng.integers(0, 2 ** 63 - 1))
         cand, _ = _lm_minimize(_random_start(k, model, child), cfg)
-        key = (_residual_sum(cand), float(np.linalg.norm(
+        key = (_residual_sum(*adhm_equations(cand)), float(np.linalg.norm(
             cand.parameter_vector())))
         if best_key is None or key < best_key:
             best, best_key = cand, key
@@ -336,8 +404,9 @@ def _frame_tangent_vectors(data: ADHMData) -> np.ndarray:
 
 def moduli_dimension(data: ADHMData) -> JacobianAnalysis:
     """Null-space dimensions of the constraint map at a solution."""
-    if _residual_sum(data) > MODULI_RESIDUAL_TOL:
-        raise NotASolution(f"residual {_residual_sum(data):.3e} above "
+    residual = _residual_sum(*adhm_equations(data))
+    if residual > MODULI_RESIDUAL_TOL:
+        raise NotASolution(f"residual {residual:.3e} above "
                            f"{MODULI_RESIDUAL_TOL:.1e}")
     k = data.k
     Jm = constraint_jacobian(data)

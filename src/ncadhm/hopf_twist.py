@@ -278,6 +278,10 @@ class MoyalModel(TwistModel):
             raise ModelMismatch("alpha must be nonzero")
         if hbar > 0 and (beta == 0 or alpha + beta == 0):
             raise ModelMismatch("beta must be nonzero and differ from -alpha")
+        if not all(map(math.isfinite, (hbar * alpha, hbar * beta,
+                                       hbar * (alpha + beta)))):
+            raise ModelMismatch("hbar times alpha, beta and alpha + beta "
+                                "must be finite")
         self.hbar = float(hbar)
         self.alpha = float(alpha)
         self.beta = float(beta)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ncadhm.adhm_solver import (
-    JacobianAnalysis, NoConvergence, NotASolution, SolveConfig,
+    LM_DAMPING, JacobianAnalysis, NoConvergence, NotASolution, SolveConfig,
     _lm_minimize, _random_start, constraint_jacobian, gauge_distance,
     moduli_dimension, residual_vector, solve,
 )
@@ -52,6 +52,14 @@ def test_nan_zeta_does_not_match_any_model():
 def test_solve_config_rejects_non_finite_tolerance(tolerance):
     with pytest.raises(ValueError):
         SolveConfig(tolerance=tolerance)
+
+
+@pytest.mark.parametrize("field", ["max_iterations", "multistarts"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_solve_config_rejects_counts_below_one(field, value):
+    # a zero iteration cap would hand back the random start unsolved
+    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        SolveConfig(**{field: value})
 
 
 def test_residual_monotone_history():
@@ -210,3 +218,76 @@ def test_batched_jacobian_equals_column_loop_exactly():
             d = rand_complex_data(k, model, rng)
             assert np.array_equal(constraint_jacobian(d),
                                   _jacobian_column_loop(d))
+
+
+def _data_with_zero_entries():
+    rng = np.random.default_rng(22)
+    for model in MODELS:
+        for k in (1, 2, 3):
+            yield ADHMData.zero(k, model)
+        # the BPST instanton of size 1.5 at the origin, B1 = B2 = 0
+        yield ADHMData(1, model, np.zeros((1, 1)), np.zeros((1, 1)),
+                       np.array([[1.5, 0.0]]), np.array([[0.0], [1.5]]))
+        for k in (1, 2, 3):
+            d = rand_complex_data(k, model, rng)
+            yield ADHMData(k, model, np.zeros((k, k)), d.B2, d.I, d.J)
+
+
+def test_batched_jacobian_equals_column_loop_on_zero_entries_and_k5():
+    rng = np.random.default_rng(24)
+    cases = list(_data_with_zero_entries())
+    cases += [rand_complex_data(5, model, rng) for model in MODELS]
+    for d in cases:
+        assert np.array_equal(constraint_jacobian(d), _jacobian_column_loop(d))
+
+
+def _lm_reference(data, cfg):
+    """The Levenberg-Marquardt loop with nothing carried between
+    iterations: every point's parameters and equations formed afresh."""
+    lam = LM_DAMPING
+    r = residual_vector(data)
+    cost = float(r @ r)
+    history = [np.sqrt(cost)]
+    for _ in range(cfg.max_iterations):
+        if sum(adhm_residual(data)) <= cfg.tolerance:
+            break
+        Jm = constraint_jacobian(data)
+        g = Jm.T @ r
+        A = Jm.T @ Jm
+        diag = np.diag(A).copy()
+        diag[diag < 1e-12] = 1e-12
+        accepted = False
+        for _ in range(60):
+            step = np.linalg.solve(A + lam * np.diag(diag), -g)
+            cand = ADHMData.from_parameter_vector(
+                data.k, data.model, data.parameter_vector() + step)
+            rc = residual_vector(cand)
+            cc = float(rc @ rc)
+            if cc < cost:
+                data, r, cost = cand, rc, cc
+                lam = max(lam / 3.0, 1e-14)
+                accepted = True
+                break
+            lam *= 10.0
+            if lam > 1e12:
+                break
+        history.append(np.sqrt(cost))
+        if not accepted:
+            break
+    return data, history
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+def test_lm_carried_state_matches_returned_point(k, model):
+    # a stale carried parameter vector, residual vector or equation pair
+    # leaves the history out of step with the point returned
+    cfg = SolveConfig(tolerance=1e-12 if k == 1 else 1e-10)
+    start = _random_start(k, model, np.random.default_rng(50 + k))
+    d, history = _lm_minimize(start, cfg)
+    assert all(b <= a for a, b in zip(history, history[1:]))
+    r = residual_vector(d)
+    assert history[-1] == np.sqrt(float(r @ r))
+    ref, ref_history = _lm_reference(start, cfg)
+    assert history == ref_history
+    assert np.array_equal(d.parameter_vector(), ref.parameter_vector())

@@ -175,10 +175,6 @@ def test_nonpositive_count_is_a_usage_error(argv, capsys):
     (["solve", "--k", "1", "--model", "moyal", "--hbar", "0.1",
       "--beta", "-1"],
      "beta must be nonzero and differ from -alpha"),
-    (["solve", "--k", "1", "--model", "moyal", "--hbar", "1e308"],
-     "hbar times alpha, beta and alpha + beta must be finite"),
-    (["relations", "--model", "moyal", "--alpha", "1e200", "--hbar", "1e200"],
-     "hbar times alpha, beta and alpha + beta must be finite"),
     (["solve", "--k", "1", "--model", "classical", "--seed", "-1"],
      "must be at least 0, got -1"),
     (["instanton", "--data", "unused.json", "--seed", "-1"],
@@ -186,6 +182,10 @@ def test_nonpositive_count_is_a_usage_error(argv, capsys):
     (["solve", "--model", "toric", "--theta", "0.3", "--k", "1",
       "--zeta", "0.5"],
      "zeta 0.5 does not match the model level 0.0"),
+    (["solve", "--k", "1", "--model", "moyal", "--hbar", "1e308"],
+     "hbar times alpha, beta and alpha + beta must be finite"),
+    (["relations", "--model", "moyal", "--alpha", "1e200", "--hbar", "1e200"],
+     "hbar times alpha, beta and alpha + beta must be finite"),
 ])
 def test_bad_tolerance_or_iteration_cap_is_a_usage_error(argv, message,
                                                          capsys):

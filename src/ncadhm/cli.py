@@ -4,11 +4,16 @@ Subcommands: relations, twistor-checks, solve, verify-monad, instanton,
 charge, moduli-dim.  All output is deterministic JSON (sorted keys); exit
 codes: 0 all checks passed, 1 a computational check failed (the report is
 still emitted), 2 usage or configuration error.
+
+``run()`` may be called many times in one process.  The calls share one
+argument parser, built on the first call: parsing reads the fixed spec and
+fills a fresh namespace, so no call sees another's arguments.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -181,7 +186,7 @@ def cmd_verify_monad(args) -> int:
 
 
 def cmd_instanton(args) -> int:
-    data = _load_data(args.data)
+    data = _load_classical_data(args.data)
     rng = np.random.default_rng(args.seed)
     pts = [PointR4(complex(a, b), complex(c, d))
            for a, b, c, d in rng.standard_normal((args.points, 4)).tolist()]
@@ -201,7 +206,7 @@ def cmd_instanton(args) -> int:
 
 
 def cmd_charge(args) -> int:
-    data = _load_data(args.data)
+    data = _load_classical_data(args.data)
     q = charge(data, QuadratureSpec(resolution=args.resolution))
     out = {"charge": q, "resolution": args.resolution,
            "nearest_integer": round(q),
@@ -230,6 +235,17 @@ def _load_data(path) -> ADHMData:
         raise ValueError(f"argument --data: {detail}") from exc
 
 
+def _load_classical_data(path) -> ADHMData:
+    """The --data file of a numeric subcommand, which needs the classical
+    model; a deformed model is a usage error."""
+    data = _load_data(path)
+    if data.model.kind != "classical":
+        raise ValueError("argument --data: numeric evaluation needs the "
+                         "classical model")
+    return data
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ncadhm",
@@ -293,9 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -12,6 +12,11 @@ translation coaction in ``_MOYAL_COACTION`` and the torus weights in
 ``_TORUS_WEIGHTS``, keyed by (space, family index).  The Hopf letters of
 the smash products are ``TRANS_LETTERS`` and ``TORUS_LETTERS``.
 
+A model is immutable after construction: its parameters never change, and
+it expands each letter's coaction once, on first use, into legs that every
+later call shares.  A relation derivation likewise evaluates each deformed
+word once for all its letter pairs.
+
 The sign of the torus cocycle is the convention under which the phase
 matrix of the deformed coordinates comes out with
 ``eta_13 = mu = exp(i*pi*theta)``; the opposite sign would produce the
@@ -181,6 +186,10 @@ class TwistModel:
 
     kind = "classical"
 
+    def __init__(self):
+        # letter -> its coaction legs, expanded on first use
+        self._legs = {}
+
     @property
     def theta(self):
         return None
@@ -202,7 +211,17 @@ class TwistModel:
 
     # coactions -------------------------------------------------------------
     def coaction(self, g: GeneratorId):
-        """List of ``(coeff, HopfMonomial, GeneratorId | None)`` branches."""
+        """Tuple of ``(coeff, HopfMonomial, GeneratorId | None)`` legs.
+
+        The legs of each letter are expanded once per model and shared by
+        every later call; they are immutable, like the model's parameters.
+        """
+        legs = self._legs.get(g)
+        if legs is None:
+            legs = self._legs[g] = self._expand_coaction(g)
+        return legs
+
+    def _expand_coaction(self, g: GeneratorId):
         raise NotImplementedError
 
     def _conj_coaction(self, branches):
@@ -252,7 +271,7 @@ class TwistModel:
 class ClassicalModel(TwistModel):
     kind = "classical"
 
-    def coaction(self, g: GeneratorId):
+    def _expand_coaction(self, g: GeneratorId):
         return ((1.0, TRANS_UNIT, g),)
 
     def cocycle(self, h, g) -> Coefficient:
@@ -282,6 +301,7 @@ class MoyalModel(TwistModel):
                                        hbar * (alpha + beta)))):
             raise ModelMismatch("hbar times alpha, beta and alpha + beta "
                                 "must be finite")
+        super().__init__()
         self.hbar = float(hbar)
         self.alpha = float(alpha)
         self.beta = float(beta)
@@ -311,7 +331,7 @@ class MoyalModel(TwistModel):
     def zeta_level(self):
         return self.hbar * (self.alpha + self.beta)
 
-    def coaction(self, g: GeneratorId):
+    def _expand_coaction(self, g: GeneratorId):
         legs = _MOYAL_COACTION.get((g.space, g.index))
         if legs is None:
             raise MissingCoaction(f"no coaction for {g}")
@@ -380,6 +400,7 @@ class ToricModel(TwistModel):
     def __init__(self, theta):
         if not 0 <= theta < 1:
             raise ModelMismatch("theta must lie in [0, 1)")
+        super().__init__()
         self._theta = float(theta)
 
     @property
@@ -396,7 +417,7 @@ class ToricModel(TwistModel):
     def counit(self, h) -> complex:
         return 1.0  # group-like monomials
 
-    def coaction(self, g: GeneratorId):
+    def _expand_coaction(self, g: GeneratorId):
         w = _TORUS_WEIGHTS.get((g.space, g.index))
         if w is None:
             raise MissingCoaction(f"no coaction for {g}")
@@ -645,20 +666,28 @@ def twist_product(model: TwistModel, a: NCPolynomial,
     return out
 
 
-def _twist_eval_word(model: TwistModel, word) -> NCPolynomial:
-    """Evaluate a word of the deformed algebra as a classical polynomial."""
-    acc = NCPolynomial.one()
-    for g in word:
-        acc = twist_product(model, acc, NCPolynomial.from_generator(g))
-    return acc
+def _twist_eval_word(model: TwistModel, word, twisted) -> NCPolynomial:
+    """Evaluate a word of the deformed algebra as a classical polynomial.
+
+    The word is the twisted product of its letters from the left; each
+    prefix is looked up in, or else evaluated into, the memo ``twisted``.
+    """
+    q = twisted.get(word)
+    if q is None:
+        q = twisted[word] = NCPolynomial.one() if not word else twist_product(
+            model, _twist_eval_word(model, word[:-1], twisted),
+            NCPolynomial.from_generator(word[-1]))
+    return q
 
 
-def express_in_deformed_basis(model: TwistModel, x: NCPolynomial):
+def express_in_deformed_basis(model: TwistModel, x: NCPolynomial, twisted):
     """Rewrite a classical polynomial as a combination of deformed words.
 
     Greedy triangular elimination against the quantisation map: the leading
     classical term of each deformed word is the word itself, up to an
-    invertible phase (a pure mu-power for the torus model).
+    invertible phase (a pure mu-power for the torus model).  ``twisted``
+    maps deformed words of ``model`` to their classical evaluation; the
+    words evaluated here are added to it, and no polynomial in it changes.
     """
     out = []
     merged = {}
@@ -669,7 +698,7 @@ def express_in_deformed_basis(model: TwistModel, x: NCPolynomial):
         if guard > 10000:
             raise NonConfluent("deformed-basis expansion did not terminate")
         (w, h, m), v = leading_term(x)
-        q = _twist_eval_word(model, w)
+        q = _twist_eval_word(model, w, twisted)
         qkeys = [k for k in q.terms if k[0] == w]
         if len(qkeys) != 1 or qkeys[0][1] != 0:
             raise NonConfluent(f"word {w} has no invertible leading phase")
@@ -713,10 +742,10 @@ def _is_default_rule(g, h, rhs):
     return abs(c.value - sign) <= 1e-14
 
 
-def _derived_rule(model, g, h):
+def _derived_rule(model, g, h, twisted):
     x = twist_product(model, NCPolynomial.from_generator(g),
                       NCPolynomial.from_generator(h))
-    return tuple(express_in_deformed_basis(model, x))
+    return tuple(express_in_deformed_basis(model, x, twisted))
 
 
 def _pair_rules(model, gens):
@@ -724,11 +753,12 @@ def _pair_rules(model, gens):
     transposition, keyed by the (later, earlier) letter pair."""
     gens = sorted(gens, key=lambda g: g.sort_key)
     rules = {}
+    twisted = {}  # each deformed word evaluated once for all pairs
     for i, g in enumerate(gens):
         for h in gens[:i + 1]:
             if g == h and g.grade == 0:
                 continue
-            rhs = _derived_rule(model, g, h)
+            rhs = _derived_rule(model, g, h, twisted)
             if not _is_default_rule(g, h, rhs):
                 rules[(g, h)] = rhs
     return rules

@@ -8,9 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ncadhm import cli
 from ncadhm.cli import run
 from ncadhm.monad import ADHMData
-from ncadhm.hopf_twist import ClassicalModel
+from ncadhm.hopf_twist import ClassicalModel, MoyalModel, ToricModel
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+PINNED = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                     / "digests.json").read_text())
 
 
 def test_relations_toric_phase(tmp_path, capsys):
@@ -103,15 +108,20 @@ def test_usage_error_exit_code(capsys):
     assert run(["charge", "--data", "/nonexistent.json"]) == 2
 
 
-def test_python_dash_m_runs_the_cli():
-    src = str(Path(__file__).resolve().parents[1] / "src")
+def _fresh_process(argv):
+    """Exit code, stdout and stderr of ``python -m ncadhm argv``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    r = subprocess.run([sys.executable, "-m", "ncadhm", "moduli-dim", "--help"],
-                       env=env, capture_output=True, text=True, timeout=60)
-    assert r.returncode == 0, r.stderr
-    assert "--data" in r.stdout
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    r = subprocess.run([sys.executable, "-m", "ncadhm", *argv], env=env,
+                       capture_output=True, text=True, timeout=60)
+    return r.returncode, r.stdout, r.stderr
+
+
+def test_python_dash_m_runs_the_cli():
+    code, out, err = _fresh_process(["moduli-dim", "--help"])
+    assert code == 0, err
+    assert "--data" in out
 
 
 def test_failed_check_exit_code(tmp_path, capsys):
@@ -186,10 +196,21 @@ def test_nonpositive_count_is_a_usage_error(argv, capsys):
      "hbar times alpha, beta and alpha + beta must be finite"),
     (["relations", "--model", "moyal", "--alpha", "1e200", "--hbar", "1e200"],
      "hbar times alpha, beta and alpha + beta must be finite"),
+    (["instanton", "--data", "moyal.json"],
+     "numeric evaluation needs the classical model"),
+    (["charge", "--data", "toric.json"],
+     "numeric evaluation needs the classical model"),
 ])
 def test_bad_tolerance_or_iteration_cap_is_a_usage_error(argv, message,
-                                                         capsys):
-    # rejected while parsing: no solve runs and no report is emitted
+                                                         capsys, tmp_path,
+                                                         monkeypatch):
+    # rejected while parsing, or for --data when its file is read: no solve
+    # runs and no report is emitted
+    monkeypatch.chdir(tmp_path)
+    for name, model in (("moyal", MoyalModel(0.2, 1.0, 0.5)),
+                        ("toric", ToricModel(0.3))):
+        Path(f"{name}.json").write_text(
+            json.dumps(ADHMData.zero(1, model).to_json_dict()))
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -503,3 +524,66 @@ def test_bad_data_file_is_a_usage_error(content, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: argument --data: ")
+
+
+def test_reused_parser_leaks_nothing_between_calls(capsys, monkeypatch):
+    # usage text wraps at the terminal width; pin it for both processes
+    monkeypatch.setenv("COLUMNS", "80")
+    toric = ["relations", "--model", "toric", "--theta", "0.3",
+             "--space", "MonadM"]
+    moyal = ["solve", "--k", "1", "--model", "moyal", "--hbar", "0.2",
+             "--alpha", "1", "--beta", "0.5", "--seed", "3"]
+    calls = [
+        toric + ["--k", "0"],
+        toric + ["--k", "2"],
+        toric,  # the default k = 1, not the 2 of the call before
+        moyal + ["--zeta", "0.3"],
+        moyal,
+        ["--version"],
+    ]
+    parser = cli.build_parser()
+    seen = []
+    for argv in calls:
+        code = run(argv)
+        captured = capsys.readouterr()
+        seen.append((code, captured.out, captured.err))
+    assert cli.build_parser() is parser
+    assert [code for code, _, _ in seen] == [2, 0, 0, 0, 0, 0]
+    assert hashlib.sha256(seen[2][1].encode()).hexdigest() == PINNED[
+        "relations --model toric --theta 0.3 --space MonadM --k 1"]
+    for argv, got in zip(calls, seen):
+        assert got == _fresh_process(argv), argv
+
+
+@pytest.mark.parametrize("keys", [
+    [f"relations --model moyal --hbar 0.2 --alpha 1.0 --beta {b} "
+     "--space MonadM --k 1" for b in ("0.5", "0.625", "0.5")],
+    [f"relations --model toric --theta {t} --space MonadM --k 1"
+     for t in ("0.3", "0.31", "0.3")],
+], ids=["moyal", "toric"])
+def test_models_share_no_memo_between_calls(keys, capsys):
+    # one process, the parameter changed and changed back: every output
+    # is the pinned output of its own parameters
+    for key in keys:
+        assert run(key.split()) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED[key], key
+
+
+def test_relations_expands_each_letters_coaction_once(capsys, monkeypatch):
+    from ncadhm import hopf_twist
+    from ncadhm.star_algebra import MONAD_M
+
+    expand = hopf_twist.MoyalModel._expand_coaction
+    expanded = {}
+
+    def counted(model, g):
+        expanded[g] = expanded.get(g, 0) + 1
+        return expand(model, g)
+
+    monkeypatch.setattr(hopf_twist.MoyalModel, "_expand_coaction", counted)
+    assert run(["relations", "--model", "moyal", "--hbar", "0.2",
+                "--space", "MonadM", "--k", "1"]) == 0
+    letters = hopf_twist.MoyalModel(0.2).generators(MONAD_M, k=1)
+    assert set(expanded) == set(letters)
+    assert set(expanded.values()) == {1}

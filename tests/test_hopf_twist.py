@@ -6,8 +6,9 @@ from ncadhm.hopf_twist import (
     ClassicalModel, MissingCoaction, ModelMismatch, MoyalModel, ToricModel,
     TorusMonomial, TransMonomial, bicharacter_residual,
     cotriangularity_residual, crossed_module_residual, derive_relations,
-    model_from_json, monad_m, r_matrix, smash_relations, twist_product,
-    two_cocycle_residual, z, zeta, _validate,
+    express_in_deformed_basis, model_from_json, monad_m, r_matrix,
+    smash_relations, twist_product, two_cocycle_residual, z, zeta,
+    _twist_eval_word, _validate,
 )
 from ncadhm.star_algebra import (
     C4, MONAD_M, R4, Coefficient, GeneratorId, NCPolynomial, multiply,
@@ -362,6 +363,47 @@ def test_monad_pairing_is_coinvariant(kind, request):
                     for c2, h2, x2 in model.coaction(z(j, conj)))
                 assert len(total) == 4
                 assert all(h.is_unit() for h, _, _ in total)
+
+
+MODELS = {"classical": ClassicalModel,
+          "moyal": lambda: MoyalModel(HBAR, ALPHA, BETA),
+          "toric": lambda: ToricModel(0.25)}
+
+
+@pytest.mark.parametrize("kind", list(MODELS))
+def test_coaction_legs_are_memoised_immutable_tuples(kind):
+    model = MODELS[kind]()
+    gens = (model.generators(C4) + model.generators(R4)
+            + model.generators(MONAD_M, k=2))
+    for g in gens:
+        legs = model.coaction(g)
+        assert model.coaction(g) is legs, g
+        # the memo holds what a fresh model expands
+        assert legs == MODELS[kind]()._expand_coaction(g), g
+        assert isinstance(legs, tuple), g
+        assert all(isinstance(leg, tuple) for leg in legs), g
+        hash(legs)  # immutable all the way down
+
+
+@pytest.mark.parametrize("kind", ["moyal", "toric"])
+def test_deformed_basis_never_changes_a_memoised_word(kind, request):
+    model = request.getfixturevalue(kind)
+    gens = model.generators(C4)
+    twisted, held = {}, {}
+    for g in gens:
+        for h in gens:
+            x = twist_product(model, NCPolynomial.from_generator(g),
+                              NCPolynomial.from_generator(h))
+            before = dict(x.terms)
+            rhs = express_in_deformed_basis(model, x, twisted)
+            assert x.terms == before
+            assert rhs == express_in_deformed_basis(model, x, {})
+            for w, q in twisted.items():
+                held.setdefault(w, (q, dict(q.terms)))
+    assert held.keys() == twisted.keys()
+    for w, (q, terms) in held.items():
+        assert twisted[w] is q and q.terms == terms, w
+        assert terms == _twist_eval_word(model, w, {}).terms, w
 
 
 def test_solve_config_validation():

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 
@@ -36,13 +37,33 @@ from .star_algebra import C4, R4, StarAlgebraError
 from .twistor import j_squared_residual, verify_embeddings
 
 
+_EMIT_BATCH = 4096  # encoder chunks joined into one write
+
+
 def _emit(obj, path=None):
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    if path:
+    """Write ``obj`` as the text of ``json.dumps(obj, indent=2,
+    sort_keys=True)`` and a newline, to stdout or to the --out file.
+
+    The text is written while it is encoded, in joined batches of chunks,
+    so it is never held whole.  The --out file is opened only now, after
+    the work (it may be the --data file), and an error from opening or
+    writing it is a usage error.
+    """
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    if not path:
+        _write_chunks(sys.stdout, chunks)
+        return
+    try:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+            _write_chunks(fh, chunks)
+    except OSError as exc:
+        raise ValueError(f"argument --out: {exc}") from exc
+
+
+def _write_chunks(fh, chunks):
+    while batch := "".join(itertools.islice(chunks, _EMIT_BATCH)):
+        fh.write(batch)
+    fh.write("\n")
 
 
 def _model_from_args(args) -> object:

@@ -437,51 +437,58 @@ class RelationSystem:
 def _reduce_terms(terms, rel: RelationSystem, budget: int):
     """Worklist reduction of ``(word, hbar, mu2) -> value`` term dicts.
 
-    Adjacent pairs with an explicit rule are rewritten by it; out-of-order
-    pairs without a rule commute up to the Koszul sign, and a repeated
-    grade-1 letter kills the word.
+    Each word is rewritten at its leftmost redex, the first adjacent pair
+    that has an explicit rule (rewritten by it), repeats a grade-1 letter
+    (the word dies) or is out of order (the pair commutes up to the Koszul
+    sign).  Each rewrite is one step; the step after ``budget`` raises
+    :class:`NonTerminating`.
+
+    A stack entry carries the first pair that may still be a redex.  A
+    rewrite at pair ``i`` leaves the letters left of ``i`` unchanged, so the
+    pairs left of ``i - 1`` stay free of redexes and the scan resumes at
+    ``max(i - 1, 0)``: it finds the same redex as a rescan from 0.  A swap
+    is applied in place and its word scanned on, as the word it would push
+    is the next one popped.  So words are rewritten, popped and summed into
+    the result in one fixed order, whatever the budget.  A swap multiplies
+    the value by a float sign, ``-1.0`` or ``1.0``, as a complex product:
+    ``-v`` or ``v`` can differ from it in the sign of a zero part and in an
+    infinite one.
     """
     out = {}
-    stack = [(w, h, m, v) for (w, h, m), v in terms.items()]
+    stack = [(w, h, m, v, 0) for (w, h, m), v in terms.items()]
     steps = 0
-    rules = rel.rules
+    rule_of = rel.rules.get
     while stack:
-        w, h, m, v = stack.pop()
+        w, h, m, v, i = stack.pop()
         if abs(v) <= TOL:
             continue
-        n = len(w)
-        hit = None
-        for i in range(n - 1):
+        last = len(w) - 1
+        while i < last:
             a, b = w[i], w[i + 1]
-            if (a, b) in rules:
-                hit = (i, "rule")
+            rule = rule_of((a, b))
+            if rule is None and a._key <= b._key and not (a.grade and a == b):
+                i += 1
+                continue
+            steps += 1
+            if steps > budget:
+                raise NonTerminating("rewrite step budget exceeded")
+            if rule is not None:
+                for u, c in rule:
+                    stack.append((w[:i] + u + w[i + 2:], h + c.hbar,
+                                  m + c.mu2, v * c.value, max(i - 1, 0)))
                 break
-            if a == b and a.grade:
-                hit = (i, "kill")
+            if a.grade and a == b:  # the word dies
                 break
-            if a.sort_key > b.sort_key:
-                hit = (i, "swap")
-                break
-        if hit is None:
+            v = (-1.0 if a.grade and b.grade else 1.0) * v
+            w = w[:i] + (b, a) + w[i + 2:]
+            i = max(i - 1, 0)
+        else:
             key = (w, h, m)
             nv = out.get(key, 0.0) + v
             if abs(nv) <= TOL:
                 out.pop(key, None)
             else:
                 out[key] = nv
-            continue
-        steps += 1
-        if steps > budget:
-            raise NonTerminating("rewrite step budget exceeded")
-        i, kind = hit
-        if kind == "rule":
-            for u, c in rules[w[i:i + 2]]:
-                stack.append((w[:i] + u + w[i + 2:], h + c.hbar, m + c.mu2,
-                              v * c.value))
-        elif kind == "swap":
-            sign = -1.0 if (w[i].grade and w[i + 1].grade) else 1.0
-            stack.append((w[:i] + (w[i + 1], w[i]) + w[i + 2:], h, m, sign * v))
-        # "kill": nothing pushed
     return out
 
 

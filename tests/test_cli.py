@@ -587,3 +587,40 @@ def test_relations_expands_each_letters_coaction_once(capsys, monkeypatch):
     letters = hopf_twist.MoyalModel(0.2).generators(MONAD_M, k=1)
     assert set(expanded) == set(letters)
     assert set(expanded.values()) == {1}
+
+
+def test_streamed_output_keeps_every_byte(tmp_path, capsys):
+    # the largest pinned relations object spans many write batches
+    from ncadhm.hopf_twist import derive_relations
+
+    obj = derive_relations(ToricModel(0.3), "MonadM", k=2).to_json_dict()
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    assert sum(1 for _ in chunks) > 10 * cli._EMIT_BATCH
+    want = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    cli._emit(obj)
+    assert capsys.readouterr().out == want
+    path = tmp_path / "rel.json"
+    cli._emit(obj, str(path))
+    assert path.read_text() == want
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("target", ["missing/out.json", "."],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_out_is_a_usage_error(target, tmp_path, capsys):
+    out = str(tmp_path / target)
+    for argv in (["relations", "--model", "toric", "--theta", "0.3"],
+                 ["twistor-checks"]):
+        assert run(argv + ["--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: argument --out: ")
+
+
+def test_out_may_name_the_data_file(solved_file, tmp_path, capsys):
+    # --out is opened when the report is written, after --data is read
+    path = tmp_path / "data.json"
+    path.write_text(Path(solved_file).read_text())
+    assert run(["moduli-dim", "--data", str(path), "--out", str(path)]) == 0
+    assert json.loads(path.read_text())["unframed_dimension"] == 5
+    assert capsys.readouterr().out == ""

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import itertools
 import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from ncadhm.star_algebra import (
     Coefficient, GeneratorId, NCPolynomial, NonTerminating, RelationSystem,
     MissingCalculus, UnknownGenerator, adjoint, differential, multiply,
     normal_form, reduce_modulo, AUX, C4, CP3, HOPF_TORUS, HOPF_TRANS, MONAD_M,
-    R4, S4,
+    R4, S4, TOL, _reduce_terms,
 )
 from ncadhm.hopf_twist import (
     ClassicalModel, MoyalModel, ToricModel, derive_relations,
@@ -364,6 +365,192 @@ def test_torus_normal_form_against_clock_shift_matrices(theta_p, theta_q):
         for (u, h, m), v in nf.terms.items():
             total += Coefficient(v, h, m).evaluate(theta) * image(u)
         assert np.abs(total - image(w)).max() <= 1e-12
+
+
+def _moyal_c4_images(rel, scalars):
+    """Polynomial images of the Moyal C4 letters, and the image of a word.
+
+    The derived rules keep z1, z2 and their adjoints central, so they go to
+    the fixed complex ``scalars``.  The commutators among z3, z3*, z4 and z4*
+    are then constants Theta, read off the rules.  Those four letters go to
+    the coordinates x_0..x_3 of four commuting variables with the Moyal
+    product of the constant bivector Theta; for a polynomial f,
+    f * x_j = f x_j + 1/2 sum_i Theta[i, j] d_i f exactly.
+    """
+    letters = [g for g in rel.generators if g not in scalars]
+    slot = {g: i for i, g in enumerate(letters)}
+    theta = np.zeros((4, 4), dtype=complex)
+    for (a, b), rhs in rel.rules.items():
+        swapped = [c for u, c in rhs if u == (b, a)]
+        assert swapped == [Coefficient(1.0)]
+        const = 0.0
+        for u, c in rhs:
+            if u != (b, a):
+                assert set(u) <= set(scalars)  # a central correction
+                const += c.evaluate() * np.prod([scalars[g] for g in u])
+        theta[slot[a], slot[b]], theta[slot[b], slot[a]] = const, -const
+    assert np.count_nonzero(theta) == 8  # the four rules, antisymmetrised
+
+    def image(w):
+        f = {(0, 0, 0, 0): 1.0 + 0j}
+        for g in w:
+            if g in scalars:
+                f = {e: c * scalars[g] for e, c in f.items()}
+                continue
+            j, out = slot[g], {}
+            for e, c in f.items():
+                up = e[:j] + (e[j] + 1,) + e[j + 1:]
+                out[up] = out.get(up, 0.0) + c
+                for i in range(4):
+                    if e[i] and theta[i, j]:
+                        down = e[:i] + (e[i] - 1,) + e[i + 1:]
+                        out[down] = (out.get(down, 0.0)
+                                     + 0.5 * theta[i, j] * e[i] * c)
+            f = out
+        return f
+
+    return image
+
+
+@pytest.mark.parametrize("hbar, alpha, beta", [(HBAR, ALPHA, BETA),
+                                               (0.25, 1.0, 0.5)])
+def test_moyal_normal_form_against_moyal_product(hbar, alpha, beta):
+    # an oracle independent of the rewrite engine: normal ordering must not
+    # change the polynomial a word represents, and it must end in words
+    # that no rule rewrites
+    rel = derive_relations(MoyalModel(hbar, alpha, beta), C4, calculus=False)
+    a, b = 0.8 + 0.3j, -0.5 + 0.9j
+    scalars = {z(1): a, z(1, True): a.conjugate(), z(2): b,
+               z(2, True): b.conjugate()}
+    image = _moyal_c4_images(rel, scalars)
+    rng = np.random.default_rng(11)
+    gens = list(rel.generators)
+    for _ in range(200):
+        w = tuple(gens[i] for i in rng.integers(0, len(gens),
+                                                 int(rng.integers(1, 7))))
+        nf = normal_form(NCPolynomial.from_word(w), rel)
+        total = {}
+        for (u, h, m), v in nf.terms.items():
+            assert all((x, y) not in rel.rules and x.sort_key <= y.sort_key
+                       for x, y in zip(u, u[1:]))
+            c = Coefficient(v, h, m).evaluate()
+            for e, x in image(u).items():
+                total[e] = total.get(e, 0.0) + c * x
+        want = image(w)
+        assert max(abs(total.get(e, 0.0) - want.get(e, 0.0))
+                   for e in set(total) | set(want)) <= 1e-12
+
+
+def _reference_reduce(terms, rel, budget):
+    """The rewrite loop before scans resumed and swaps ran in place, kept
+    verbatim as a reference; returns the result and its step count."""
+    out = {}
+    stack = [(w, h, m, v) for (w, h, m), v in terms.items()]
+    steps = 0
+    rules = rel.rules
+    while stack:
+        w, h, m, v = stack.pop()
+        if abs(v) <= TOL:
+            continue
+        n = len(w)
+        hit = None
+        for i in range(n - 1):
+            a, b = w[i], w[i + 1]
+            if (a, b) in rules:
+                hit = (i, "rule")
+                break
+            if a == b and a.grade:
+                hit = (i, "kill")
+                break
+            if a.sort_key > b.sort_key:
+                hit = (i, "swap")
+                break
+        if hit is None:
+            key = (w, h, m)
+            nv = out.get(key, 0.0) + v
+            if abs(nv) <= TOL:
+                out.pop(key, None)
+            else:
+                out[key] = nv
+            continue
+        steps += 1
+        if steps > budget:
+            raise NonTerminating("rewrite step budget exceeded")
+        i, kind = hit
+        if kind == "rule":
+            for u, c in rules[w[i:i + 2]]:
+                stack.append((w[:i] + u + w[i + 2:], h + c.hbar, m + c.mu2,
+                              v * c.value))
+        elif kind == "swap":
+            sign = -1.0 if (w[i].grade and w[i + 1].grade) else 1.0
+            stack.append((w[:i] + (w[i + 1], w[i]) + w[i + 2:], h, m, sign * v))
+        # "kill": nothing pushed
+    return out, steps
+
+
+def _engine_systems():
+    """Every relation system the CLI builds, by name."""
+    for name, model in (("moyal", MoyalModel(HBAR, ALPHA, BETA)),
+                        ("toric", ToricModel(0.3))):
+        for space, calculus in itertools.product((C4, R4), (True, False)):
+            yield (f"{name}-{space}-calculus-{calculus}",
+                   lambda m=model, s=space, c=calculus:
+                       derive_relations(m, s, calculus=c))
+        for k in (1, 2):
+            yield (f"{name}-MonadM-k{k}",
+                   lambda m=model, k=k: derive_relations(m, MONAD_M, k=k))
+            yield (f"{name}-smash-k{k}",
+                   lambda m=model, k=k: smash_relations(m, k=k))
+        yield (f"{name}-smash-no-monad",
+               lambda m=model: smash_relations(m, include_monad=False))
+
+
+def _bits(v):
+    return struct.pack("<dd", v.real, v.imag)
+
+
+_ENGINE_SYSTEMS = dict(_engine_systems())
+
+
+@pytest.mark.parametrize("system", list(_ENGINE_SYSTEMS))
+def test_engine_matches_the_reference_loop(system):
+    # the same terms in the same order, equal bit for bit (zero signs
+    # included), and the budget runs out at the same step
+    rel = _ENGINE_SYSTEMS[system]()
+    gens = rel.generators
+    odd = [g for g in gens if g.grade]
+    rng = np.random.default_rng(5)
+    # signed zeros, and an infinite part, on which a swap's float sign
+    # and a plain negation differ
+    values = [1.0 + 0j, complex(-1.0, -0.0), complex(0.0, -0.5),
+              complex(-0.0, 2.0), complex(float("inf"), 1.0)]
+    stepped = 0
+    for trial in range(60):
+        terms = {}
+        for _ in range(int(rng.integers(1, 4))):
+            w = [gens[i] for i in rng.integers(0, len(gens),
+                                               int(rng.integers(1, 9)))]
+            if odd and trial % 4 == 0:  # a repeated grade-1 letter dies
+                g = odd[int(rng.integers(0, len(odd)))]
+                w = [g, *w[:6], g]
+            h, m = int(rng.integers(0, 2)), 2 * int(rng.integers(-1, 2))
+            if trial % 2:
+                v = complex(*rng.standard_normal(2))
+            else:
+                v = values[int(rng.integers(0, len(values)))]
+            terms[(tuple(w), h, m)] = v
+        want, steps = _reference_reduce(terms, rel, 10 ** 6)
+        got = _reduce_terms(terms, rel, 10 ** 6)
+        assert list(got) == list(want)
+        assert [_bits(v) for v in got.values()] == \
+            [_bits(v) for v in want.values()]
+        for reduce in (_reference_reduce, _reduce_terms):
+            reduce(terms, rel, steps)
+            if steps:
+                with pytest.raises(NonTerminating):
+                    reduce(terms, rel, steps - 1)
+        stepped += steps > 0
+    assert stepped >= 40
 
 
 def test_classical_limit_is_sorting():

@@ -214,13 +214,15 @@ def cmd_instanton(args) -> int:
     samples = curvature_samples(data, pts)
     worst = max(s.asd_residual for s in samples)
     traces = [float(np.trace(s.Q).real) for s in samples]
+    trace_error = float(max(abs(t - 2 * data.k) for t in traces))
     out = {
         "points": args.points,
         "seed": args.seed,
         "max_asd_residual": worst,
         "asd_tolerance": 1e-6,
-        "trace_Q_max_error": float(max(abs(t - 2 * data.k) for t in traces)),
-        "passed": (not args.check_asd) or worst <= 1e-6,
+        "trace_Q_max_error": trace_error,
+        "passed": (not args.check_asd) or (worst <= 1e-6
+                                           and trace_error <= 1e-10),
     }
     _emit(out, args.out)
     return 0 if out["passed"] else 1

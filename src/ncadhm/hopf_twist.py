@@ -14,8 +14,9 @@ the smash products are ``TRANS_LETTERS`` and ``TORUS_LETTERS``.
 
 A model is immutable after construction: its parameters never change, and
 it expands each letter's coaction once, on first use, into legs that every
-later call shares.  A relation derivation likewise evaluates each deformed
-word once for all its letter pairs.
+later call shares.  A relation derivation likewise derives the rule of two
+monad letter families once per cell relation, relabels it onto every pair
+of cells, and evaluates each deformed word once.
 
 The sign of the torus cocycle is the convention under which the phase
 matrix of the deformed coordinates comes out with
@@ -750,17 +751,62 @@ def _derived_rule(model, g, h, twisted):
 
 def _pair_rules(model, gens):
     """Derived rules of every pair in ``gens`` that is not a default
-    transposition, keyed by the (later, earlier) letter pair."""
+    transposition, keyed by the (later, earlier) letter pair.
+
+    The rule of a pair is derived once per class and relabelled onto the
+    other pairs of its class.  The class of (g, h) is the two letters with
+    their matrix cell (row, col) erased, plus the cell relation: the same
+    cell, or g's cell earlier or later in sort order.  Each class is
+    derived on the first two cells of ``gens`` in sort order.
+
+    The relabelling is exact.  A coaction leg moves only the family index
+    of a letter and keeps its cell, and no cocycle value reads a cell: row
+    and column are spectators.  So every letter of a derivation sits in
+    g's cell or in h's.  ``sort_key`` orders space and index before the
+    cell, so the cell relation fixes the deglex order of these letters.
+    Every sort and every sum of the derivation then runs in the same order,
+    and the relabelled rule keeps the class rule's coefficients.  Letters
+    without a cell (C4, R4) all sit in cell (0, 0): their class is the
+    pair itself, and the relabelling is the identity.
+    """
+    if not gens:
+        return {}
     gens = sorted(gens, key=lambda g: g.sort_key)
+    cells = sorted({(g.row, g.col) for g in gens})
+    first, second = cells[0], cells[1 % len(cells)]  # one cell: both it
+    moved = {}  # (letter, cell) -> the letter in that cell
+
+    def move(x, cell):
+        y = moved.get((x, cell))
+        if y is None:
+            y = moved[x, cell] = x if (x.row, x.col) == cell else GeneratorId(
+                x.space, x.index, x.conjugated, x.grade, *cell)
+        return y
+
+    classes = {}  # representative pair -> its rule, None if the default
     rules = {}
-    twisted = {}  # each deformed word evaluated once for all pairs
+    twisted = {}  # each deformed word evaluated once for all classes
     for i, g in enumerate(gens):
+        gc = (g.row, g.col)
         for h in gens[:i + 1]:
             if g == h and g.grade == 0:
                 continue
-            rhs = _derived_rule(model, g, h, twisted)
-            if not _is_default_rule(g, h, rhs):
-                rules[(g, h)] = rhs
+            hc = (h.row, h.col)
+            rc = ((first, first) if gc == hc else
+                  (second, first) if gc > hc else (first, second))
+            rep = (move(g, rc[0]), move(h, rc[1]))
+            if rep not in classes:
+                rhs = _derived_rule(model, *rep, twisted)
+                classes[rep] = None if _is_default_rule(*rep, rhs) else rhs
+            rhs = classes[rep]
+            if rhs is None:
+                continue
+            if rc != (gc, hc):
+                to_pair = {rc[0]: gc, rc[1]: hc}
+                rhs = tuple(
+                    (tuple(move(x, to_pair[x.row, x.col]) for x in w), c)
+                    for w, c in rhs)
+            rules[(g, h)] = rhs
     return rules
 
 

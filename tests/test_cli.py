@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -88,6 +89,28 @@ def test_instanton_subcommand(solved_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["max_asd_residual"] <= 1e-6
     assert doc["trace_Q_max_error"] <= 1e-10
+
+
+def test_instanton_check_asd_fails_on_a_trace_error(solved_file, capsys,
+                                                   monkeypatch):
+    # each Q shifted by 1e-8/n times the identity, after its ASD residual
+    # was taken: that residual passes, but trace(Q) misses 2k by 1e-8
+    samples = cli.curvature_samples
+
+    def off_trace(data, pts):
+        return [dataclasses.replace(s, Q=s.Q + 1e-8 / len(s.Q) * np.eye(
+            len(s.Q))) for s in samples(data, pts)]
+
+    monkeypatch.setattr(cli, "curvature_samples", off_trace)
+    argv = ["instanton", "--data", solved_file, "--points", "10",
+            "--seed", "3"]
+    assert run(argv + ["--check-asd"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is False
+    assert doc["max_asd_residual"] <= 1e-6
+    assert 1e-10 < doc["trace_Q_max_error"] < 2e-8
+    assert run(argv) == 0  # unchecked without --check-asd
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 def test_charge_subcommand(solved_file, capsys):
@@ -584,8 +607,13 @@ def test_relations_expands_each_letters_coaction_once(capsys, monkeypatch):
     monkeypatch.setattr(hopf_twist.MoyalModel, "_expand_coaction", counted)
     assert run(["relations", "--model", "moyal", "--hbar", "0.2",
                 "--space", "MonadM", "--k", "1"]) == 0
+    # each letter family's rules are derived on the first two cells and
+    # relabelled onto the others, so only the letters of those two cells
+    # are expanded
     letters = hopf_twist.MoyalModel(0.2).generators(MONAD_M, k=1)
-    assert set(expanded) == set(letters)
+    assert set(expanded) == {g for g in letters
+                             if (g.row, g.col) in ((1, 1), (2, 1))}
+    assert len(expanded) == 16
     assert set(expanded.values()) == {1}
 
 

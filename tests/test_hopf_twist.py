@@ -1,6 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
+from ncadhm import hopf_twist
 from ncadhm.hopf_twist import (
     S1, S2, T1, T1S, T2, T2S, TORUS_UNIT, TRANS_UNIT, VARSIGMA,
     ClassicalModel, MissingCoaction, ModelMismatch, MoyalModel, ToricModel,
@@ -8,7 +11,7 @@ from ncadhm.hopf_twist import (
     cotriangularity_residual, crossed_module_residual, derive_relations,
     express_in_deformed_basis, model_from_json, monad_m, r_matrix,
     smash_relations, twist_product, two_cocycle_residual, z, zeta,
-    _twist_eval_word, _validate,
+    _derived_rule, _is_default_rule, _twist_eval_word, _validate,
 )
 from ncadhm.star_algebra import (
     C4, MONAD_M, R4, Coefficient, GeneratorId, NCPolynomial, multiply,
@@ -412,3 +415,134 @@ def test_solve_config_validation():
         SolveConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         SolveConfig(multistarts=0)
+
+
+def _reference_pair_rules(model, gens):
+    """The per-pair derivation before each class's rule was relabelled onto
+    its pairs, kept verbatim as a reference."""
+    gens = sorted(gens, key=lambda g: g.sort_key)
+    rules = {}
+    twisted = {}  # each deformed word evaluated once for all pairs
+    for i, g in enumerate(gens):
+        for h in gens[:i + 1]:
+            if g == h and g.grade == 0:
+                continue
+            rhs = _derived_rule(model, g, h, twisted)
+            if not _is_default_rule(g, h, rhs):
+                rules[(g, h)] = rhs
+    return rules
+
+
+def _rhs_bits(rhs):
+    """A rule's words, with each coefficient's type and bits."""
+    return [(w, type(c.value), struct.pack("<dd", c.value.real, c.value.imag),
+             c.hbar, c.mu2) for w, c in rhs]
+
+
+def _assert_same_rules(got, want):
+    """The same keys in the same order, the same words and the same
+    coefficients bit for bit (zero signs included)."""
+    assert list(got) == list(want)
+    assert [_rhs_bits(rhs) for rhs in got.values()] == \
+        [_rhs_bits(rhs) for rhs in want.values()]
+
+
+def _moved(x, cell):
+    """``x`` in the matrix cell ``cell`` when it is a monad letter."""
+    if x.space != MONAD_M:
+        return x
+    return GeneratorId(MONAD_M, x.index, x.conjugated, x.grade, *cell)
+
+
+def _permuted(word, perm):
+    """``word`` with each monad letter moved by ``perm`` on (row, col)."""
+    return tuple(_moved(x, perm(x.row, x.col)) for x in word)
+
+
+RELABEL_MODELS = {"moyal": lambda: MoyalModel(0.1, 1.0, 2.1),
+                  "toric": lambda: ToricModel(0.27)}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("kind", list(RELABEL_MODELS))
+def test_pair_rules_match_the_reference_loop(kind, k, monkeypatch):
+    model = RELABEL_MODELS[kind]()
+    got = (derive_relations(model, MONAD_M, k=k).rules,
+           smash_relations(model, k=k).rules)
+    reference = {}  # the MonadM letters are derived once for both systems
+
+    def pair_rules(model, gens):
+        key = frozenset(gens)
+        if key not in reference:
+            reference[key] = _reference_pair_rules(model, gens)
+        return reference[key]
+
+    monkeypatch.setattr(hopf_twist, "_pair_rules", pair_rules)
+    want = (derive_relations(model, MONAD_M, k=k).rules,
+            smash_relations(model, k=k).rules)
+    for g, w in zip(got, want):
+        _assert_same_rules(g, w)
+
+
+@pytest.mark.parametrize("kind", list(RELABEL_MODELS))
+def test_pair_rules_across_spaces_match_the_reference_loop(kind,
+                                                           monkeypatch):
+    # C4 letters sit in cell (0, 0), before every monad cell, so the monad
+    # classes of the twisted tensor product are derived on (0, 0) and (1, 1)
+    model = RELABEL_MODELS[kind]()
+
+    def rules():
+        return derive_relations(model, (MONAD_M, C4), k=1,
+                                calculus=False).rules
+
+    got = rules()
+    monkeypatch.setattr(hopf_twist, "_pair_rules", _reference_pair_rules)
+    _assert_same_rules(got, rules())
+
+
+@pytest.mark.parametrize("kind", list(RELABEL_MODELS))
+def test_hopf_action_rules_are_row_and_column_blind(kind):
+    # They are: each Hopf letter's rule on M^j_ab is its rule on M^j_11
+    # with every monad letter moved to (a, b).  smash_relations still
+    # builds them per letter, by act_formal; they cost about 0.01 s at k=2,
+    # and relabelling them would add code, not delete it.
+    model = RELABEL_MODELS[kind]()
+    rel = smash_relations(model, k=2)
+    found = 0
+    for hg in model.hopf_letters():
+        for a in model.generators(MONAD_M, k=2):
+            rhs = rel.rules.get((hg, a))
+            base = rel.rules.get((hg, _moved(a, (1, 1))))
+            assert (rhs is None) == (base is None), (hg, a)
+            if rhs is not None:
+                found += 1
+                assert _rhs_bits(rhs) == _rhs_bits(
+                    [(tuple(_moved(x, (a.row, a.col)) for x in w), c)
+                     for w, c in base]), (hg, a)
+    assert found
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("kind", list(RELABEL_MODELS))
+def test_row_and_column_permutations_map_rules_to_identities(kind, k):
+    # Reversing the rows (or the columns) of the monad letters maps every
+    # rule to an identity of the same system: the permuted pattern and the
+    # permuted right-hand side have equal normal forms.  A row reversal
+    # swaps the order of any two cells in different rows, so many permuted
+    # patterns are not rule keys.  At k=1 there is one column and the
+    # column reversal is the identity.
+    model = RELABEL_MODELS[kind]()
+    rows = 2 * k + 2
+    perms = {"rows": lambda a, b: (rows + 1 - a, b),
+             "columns": lambda a, b: (a, k + 1 - b)}
+    for rel in (derive_relations(model, MONAD_M, k=k),
+                smash_relations(model, k=k)):
+        for name, perm in perms.items():
+            for (g, h), rhs in rel.rules.items():
+                lhs = NCPolynomial.from_word(_permuted((g, h), perm))
+                right = NCPolynomial.zero()
+                for w, c in rhs:
+                    right = right + NCPolynomial.from_word(_permuted(w, perm),
+                                                           c)
+                assert (normal_form(lhs, rel) - normal_form(right, rel)
+                        ).eval_norm(model.theta) <= 1e-12, (name, g, h)

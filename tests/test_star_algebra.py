@@ -335,6 +335,40 @@ def _clock_shift_images(theta_p, theta_q, a, b, c, d):
     return images
 
 
+def _random_normal_forms(rel, seed):
+    """200 random words of 1 to 6 letters, each with its normal form."""
+    rng = np.random.default_rng(seed)
+    gens = list(rel.generators)
+    for _ in range(200):
+        w = tuple(gens[i] for i in rng.integers(0, len(gens),
+                                                 int(rng.integers(1, 7))))
+        yield w, normal_form(NCPolynomial.from_word(w), rel)
+
+
+def _check_against_matrices(rel, images, theta, seed):
+    """Normal ordering must not change the matrix a word represents."""
+    n = len(next(iter(images.values())))
+
+    def image(w):
+        out = np.eye(n, dtype=complex)
+        for g in w:
+            out = out @ images[g]
+        return out
+
+    def total(terms):
+        out = np.zeros((n, n), dtype=complex)
+        for u, c in terms:
+            out += c.evaluate(theta) * image(u)
+        return out
+
+    for (a, b), rhs in rel.rules.items():  # the derived rules hold
+        assert np.abs(image((a, b)) - total(rhs)).max() <= 1e-12
+    for w, nf in _random_normal_forms(rel, seed):
+        got = total((u, Coefficient(v, h, m))
+                    for (u, h, m), v in nf.terms.items())
+        assert np.abs(got - image(w)).max() <= 1e-12
+
+
 @pytest.mark.parametrize("theta_p, theta_q", [(1, 4), (2, 5)])
 def test_torus_normal_form_against_clock_shift_matrices(theta_p, theta_q):
     # an oracle independent of the rewrite engine: normal ordering must not
@@ -343,41 +377,38 @@ def test_torus_normal_form_against_clock_shift_matrices(theta_p, theta_q):
     rel = derive_relations(ToricModel(theta), C4, calculus=False)
     images = _clock_shift_images(theta_p, theta_q, 0.8 + 0.3j, -0.5 + 0.9j,
                                  1.1 - 0.2j, 0.3 + 0.7j)
-    n = 2 * theta_q
-
-    def image(w):
-        out = np.eye(n, dtype=complex)
-        for g in w:
-            out = out @ images[g]
-        return out
-
-    for (a, b) in rel.rules:  # the derived rules hold in the matrices
-        (u, coeff), = rel.rules[(a, b)]
-        assert np.abs(image((a, b)) - coeff.evaluate(theta) * image(u)).max() \
-            <= 1e-12
-    rng = np.random.default_rng(7)
-    gens = list(rel.generators)
-    for _ in range(200):
-        w = tuple(gens[i] for i in rng.integers(0, len(gens),
-                                                 int(rng.integers(1, 7))))
-        nf = normal_form(NCPolynomial.from_word(w), rel)
-        total = np.zeros((n, n), dtype=complex)
-        for (u, h, m), v in nf.terms.items():
-            total += Coefficient(v, h, m).evaluate(theta) * image(u)
-        assert np.abs(total - image(w)).max() <= 1e-12
+    _check_against_matrices(rel, images, theta, seed=7)
 
 
-def _moyal_c4_images(rel, scalars):
-    """Polynomial images of the Moyal C4 letters, and the image of a word.
+@pytest.mark.parametrize("theta_p, theta_q", [(1, 4), (2, 5)])
+def test_torus_r4_normal_form_against_clock_shift_matrices(theta_p, theta_q):
+    # with the clock C and shift S above, zeta1 -> a C^2 and zeta2 -> b S
+    # obey zeta2 zeta1 = mu^-2 zeta1 zeta2, and each commutes with its
+    # adjoint
+    theta = theta_p / theta_q
+    rel = derive_relations(ToricModel(theta), R4, calculus=False)
+    c4 = _clock_shift_images(theta_p, theta_q, 1.0, 1.0, 1.0, 1.0)
+    clock, shift = c4[z(2)], c4[z(3)]
+    images = {zeta(1): (-0.5 + 0.9j) * clock @ clock,
+              zeta(2): (1.1 - 0.2j) * shift}
+    for j in (1, 2):
+        images[zeta(j, True)] = images[zeta(j)].conj().T
+    _check_against_matrices(rel, images, theta, seed=17)
 
-    The derived rules keep z1, z2 and their adjoints central, so they go to
-    the fixed complex ``scalars``.  The commutators among z3, z3*, z4 and z4*
-    are then constants Theta, read off the rules.  Those four letters go to
-    the coordinates x_0..x_3 of four commuting variables with the Moyal
+
+def _moyal_images(rel, scalars):
+    """Polynomial images of the Moyal letters, and the image of a word.
+
+    The letters of ``scalars`` are central under the derived rules, so they
+    go to those fixed complex numbers.  The commutators among the other
+    four letters (z3, z3*, z4 and z4* in C4, the zetas in R4) are then
+    constants Theta, read off the rules.  Those four letters go to the
+    coordinates x_0..x_3 of four commuting variables with the Moyal
     product of the constant bivector Theta; for a polynomial f,
     f * x_j = f x_j + 1/2 sum_i Theta[i, j] d_i f exactly.
     """
     letters = [g for g in rel.generators if g not in scalars]
+    assert len(letters) == 4
     slot = {g: i for i, g in enumerate(letters)}
     theta = np.zeros((4, 4), dtype=complex)
     for (a, b), rhs in rel.rules.items():
@@ -389,7 +420,8 @@ def _moyal_c4_images(rel, scalars):
                 assert set(u) <= set(scalars)  # a central correction
                 const += c.evaluate() * np.prod([scalars[g] for g in u])
         theta[slot[a], slot[b]], theta[slot[b], slot[a]] = const, -const
-    assert np.count_nonzero(theta) == 8  # the four rules, antisymmetrised
+    # each rule, antisymmetrised
+    assert np.count_nonzero(theta) == 2 * len(rel.rules)
 
     def image(w):
         f = {(0, 0, 0, 0): 1.0 + 0j}
@@ -412,23 +444,10 @@ def _moyal_c4_images(rel, scalars):
     return image
 
 
-@pytest.mark.parametrize("hbar, alpha, beta", [(HBAR, ALPHA, BETA),
-                                               (0.25, 1.0, 0.5)])
-def test_moyal_normal_form_against_moyal_product(hbar, alpha, beta):
-    # an oracle independent of the rewrite engine: normal ordering must not
-    # change the polynomial a word represents, and it must end in words
-    # that no rule rewrites
-    rel = derive_relations(MoyalModel(hbar, alpha, beta), C4, calculus=False)
-    a, b = 0.8 + 0.3j, -0.5 + 0.9j
-    scalars = {z(1): a, z(1, True): a.conjugate(), z(2): b,
-               z(2, True): b.conjugate()}
-    image = _moyal_c4_images(rel, scalars)
-    rng = np.random.default_rng(11)
-    gens = list(rel.generators)
-    for _ in range(200):
-        w = tuple(gens[i] for i in rng.integers(0, len(gens),
-                                                 int(rng.integers(1, 7))))
-        nf = normal_form(NCPolynomial.from_word(w), rel)
+def _check_against_moyal_product(rel, image, seed):
+    """Normal ordering must not change the polynomial a word represents,
+    and it must end in words that no rule rewrites."""
+    for w, nf in _random_normal_forms(rel, seed):
         total = {}
         for (u, h, m), v in nf.terms.items():
             assert all((x, y) not in rel.rules and x.sort_key <= y.sort_key
@@ -439,6 +458,26 @@ def test_moyal_normal_form_against_moyal_product(hbar, alpha, beta):
         want = image(w)
         assert max(abs(total.get(e, 0.0) - want.get(e, 0.0))
                    for e in set(total) | set(want)) <= 1e-12
+
+
+@pytest.mark.parametrize("hbar, alpha, beta", [(HBAR, ALPHA, BETA),
+                                               (0.25, 1.0, 0.5)])
+def test_moyal_normal_form_against_moyal_product(hbar, alpha, beta):
+    # an oracle independent of the rewrite engine
+    rel = derive_relations(MoyalModel(hbar, alpha, beta), C4, calculus=False)
+    a, b = 0.8 + 0.3j, -0.5 + 0.9j
+    scalars = {z(1): a, z(1, True): a.conjugate(), z(2): b,
+               z(2, True): b.conjugate()}
+    _check_against_moyal_product(rel, _moyal_images(rel, scalars), seed=11)
+
+
+@pytest.mark.parametrize("hbar, alpha, beta", [(HBAR, ALPHA, BETA),
+                                               (0.25, 1.0, 0.5)])
+def test_moyal_r4_normal_form_against_moyal_product(hbar, alpha, beta):
+    # no letter of R4 is central: [zeta1*, zeta1] and [zeta2*, zeta2] are
+    # the two constants of the bivector
+    rel = derive_relations(MoyalModel(hbar, alpha, beta), R4, calculus=False)
+    _check_against_moyal_product(rel, _moyal_images(rel, {}), seed=13)
 
 
 def _reference_reduce(terms, rel, budget):

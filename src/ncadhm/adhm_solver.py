@@ -10,6 +10,17 @@ bit-identical to the matrix products it replaces.  The same Jacobian feeds
 the moduli-dimension analysis, which counts null directions of the
 constraint map at a solution and splits off the gauge orbit and the global
 frame rotations.
+
+The starts of one ``solve`` descend in lock step, in batches: each start
+keeps its own parameters, equations, damping and counts, and each round
+every live start makes one damped trial through one batched linear solve
+and one stacked equation evaluation.  A batch holds at most
+``LM_BATCH_BYTES`` of normal matrices JᵀJ, and at least one start, so many
+starts never multiply the memory of one.  Every batched numpy call here
+gives each start the bits that the same call gives it alone (a matmul or a
+LAPACK solve per slice, a dot product per row with the strides that
+``np.linalg.norm`` uses), so each start follows the trajectory it would
+follow alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +32,8 @@ import numpy as np
 
 from .hopf_twist import TwistModel
 from .monad import (
-    ADHMData, ShapeError, _dag, adhm_equations, parameter_blocks,
+    ADHMData, ADHMStack, ShapeError, _dag, adhm_equations, adhm_residual,
+    parameter_blocks,
 )
 
 
@@ -37,6 +49,7 @@ class NotASolution(Exception):
 
 
 LM_DAMPING = 1e-3            # initial Levenberg-Marquardt damping
+LM_BATCH_BYTES = 1 << 20     # normal-matrix bytes of one lock-step batch
 MODULI_RESIDUAL_TOL = 1e-10  # largest residual moduli_dimension accepts
 MODULI_RANK_FACTOR = 1e-7    # rank cut, relative to the largest singular value
 GAUGE_STARTS = 6             # gauge_distance starts, the first two fixed
@@ -110,15 +123,18 @@ def residual_vector(data: ADHMData) -> np.ndarray:
 
 
 def _entries(B1, B2, I, J):
-    """The 2k^2+4k complex entries of (B1, B2, I, J), flat, in block order."""
-    return np.concatenate([B1.ravel(), B2.ravel(), I.ravel(), J.ravel()])
+    """The 2k^2+4k complex entries of (B1, B2, I, J), flat along the last
+    axis, in block order."""
+    flat = B1.shape[:-2] + (-1,)
+    return np.concatenate([b.reshape(flat) for b in (B1, B2, I, J)], axis=-1)
 
 
 def _unit_images(e):
-    """[e, conj(e)] times 1, i and -i, then 0: every value that an entry of
-    a Jacobian term can take."""
-    both = np.concatenate([e, e.conj()])
-    return np.concatenate([both, 1j * both, -1j * both, [0]])
+    """[e, conj(e)] times 1, i and -i, then 0, along the last axis: every
+    value that an entry of a Jacobian term can take."""
+    both = np.concatenate([e, e.conj()], axis=-1)
+    return np.concatenate([both, 1j * both, -1j * both,
+                           np.zeros(e.shape[:-1] + (1,))], axis=-1)
 
 
 def _bilinear_terms(x, d):
@@ -159,8 +175,9 @@ def _gather_table(k):
                  for term in _bilinear_terms(tags, units))
 
 
-def constraint_jacobian(data: ADHMData) -> np.ndarray:
-    """Exact real Jacobian of the 3k^2 constraints in the 4k^2+8k variables.
+def constraint_jacobian(data: ADHMData | ADHMStack) -> np.ndarray:
+    """Exact real Jacobian of the 3k^2 constraints in the 4k^2+8k variables,
+    stacked along the leading axes of an ``ADHMStack``.
 
     The equations are quadratic, so column i is their bilinear derivative
     along the i-th unit direction.  There each entry of each of the seven
@@ -176,68 +193,123 @@ def constraint_jacobian(data: ADHMData) -> np.ndarray:
     R, C, P, S1, S2, S3, S4 = _gather_table(data.k)
     z = _unit_images(_entries(data.B1, data.B2, data.I, data.J))
     mu = data.model.mu
-    dceq = np.conj(mu) * z[R] - mu * z[C] + z[P]
-    dherm = z[S1] + z[S2] - z[S3] - z[S4]
-    return _constraint_components(dceq, dherm).T
+    dceq = np.conj(mu) * z[..., R] - mu * z[..., C] + z[..., P]
+    dherm = z[..., S1] + z[..., S2] - z[..., S3] - z[..., S4]
+    return _constraint_components(dceq, dherm).swapaxes(-1, -2)
 
 
 # -- Levenberg-Marquardt ---------------------------------------------------------
 
-def _lm_minimize(data: ADHMData, cfg: SolveConfig):
-    """Levenberg-Marquardt descent from ``data``: (best point, residual
-    norm after each iteration).  The accepted point carries its parameter
-    vector and equations, so each trial evaluates the equations once."""
-    lam = LM_DAMPING
-    v = data.parameter_vector()
-    eqs = adhm_equations(data)
-    r = _constraint_components(*eqs)
-    cost = float(r @ r)
-    history = [np.sqrt(cost)]
-    for _ in range(cfg.max_iterations):
-        if _residual_sum(*eqs) <= cfg.tolerance:
-            break
-        Jm = constraint_jacobian(data)
-        g = Jm.T @ r
-        A = Jm.T @ Jm
-        diag = np.diag(A).copy()
-        diag[diag < 1e-12] = 1e-12
-        accepted = False
-        for _ in range(60):
-            step = np.linalg.solve(A + lam * np.diag(diag), -g)
-            vc = v + step
-            cand = ADHMData.from_parameter_vector(data.k, data.model, vc)
-            eqc = adhm_equations(cand)
-            rc = _constraint_components(*eqc)
-            cc = float(rc @ rc)
-            if cc < cost:
-                data, v, eqs, r, cost = cand, vc, eqc, rc, cc
-                lam = max(lam / 3.0, 1e-14)
-                accepted = True
-                break
-            lam *= 10.0
-            if lam > 1e12:
-                break
-        history.append(np.sqrt(cost))
-        if not accepted:
-            break
-    return data, history
+def _dots(x):
+    """x . x for each row of the stacked real x, formed as one dot product
+    of that row alone forms it: the same BLAS call, with the row's stride."""
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
 
 
-def _residual_sum(ceq, herm) -> float:
-    """Summed Frobenius norms of the two equation matrices."""
-    return float(np.linalg.norm(ceq)) + float(np.linalg.norm(herm))
+def _frobenius(m):
+    """The Frobenius norm of each C-contiguous matrix of the stacked complex
+    m, formed as ``np.linalg.norm`` forms it for one: sqrt(re . re + im . im)
+    over the ravelled entries."""
+    flat = m.reshape(m.shape[:-2] + (-1,))
+    return np.sqrt(_dots(flat.real) + _dots(flat.imag))
 
 
-def _random_start(k, model, rng) -> ADHMData:
-    """Complex Gaussian data, scaled up to the model's deformation level."""
+def _evaluate(k, model, v):
+    """At the stacked parameter vectors v: the constraint vectors, their
+    squared norms and the summed Frobenius norms of the two equations."""
+    ceq, herm = adhm_equations(ADHMStack.from_parameter_vectors(k, model, v))
+    r = _constraint_components(ceq, herm)
+    return r, _dots(r), _frobenius(ceq) + _frobenius(herm)
+
+
+def _normal_equations(k, model, v, r):
+    """At the stacked parameter vectors v with constraint vectors r: JᵀJ,
+    Jᵀr and the diagonal of JᵀJ raised to at least 1e-12."""
+    Jt = constraint_jacobian(
+        ADHMStack.from_parameter_vectors(k, model, v)).swapaxes(-1, -2)
+    A = Jt @ Jt.swapaxes(-1, -2)
+    diag = np.diagonal(A, axis1=-2, axis2=-1).copy()
+    diag[diag < 1e-12] = 1e-12
+    return A, (Jt @ r[..., None])[..., 0], diag
+
+
+def _damped_step(A, g, lam, diag):
+    """solve(A + lam diag(d), -g) per start, with A + lam diag(d) formed as
+    for one start: lam * 0 added off the diagonal."""
+    damped = np.zeros_like(A)
+    on_diag = np.arange(A.shape[-1])
+    damped[:, on_diag, on_diag] = lam[:, None] * diag
+    damped += A
+    return np.linalg.solve(damped, -g[..., None])[..., 0]
+
+
+def _lm_minimize(k, model, v, cfg: SolveConfig):
+    """Levenberg-Marquardt descent from each row of the stacked parameter
+    vectors ``v``, in lock step: (final vectors, summed equation residuals
+    at them, each start's residual norm after each iteration).
+
+    Each round, a live start that begins an iteration stops if it has
+    converged or used its iterations, and the others form their normal
+    equations from one stacked Jacobian.  Then every live start makes one
+    damped trial.  A trial that lowers the start's cost is accepted and
+    ends its iteration; one that does not raises its damping tenfold, and
+    the start stops once the damping passes 1e12 or 60 trials have failed.
+    The live starts' state is one row of each array; a stopped start's row
+    is written out and dropped.  A non-finite trial point raises the
+    ShapeError of its data.
+    """
+    v = np.array(v, dtype=float)
+    n_starts, n = v.shape
+    r, cost, rsum = _evaluate(k, model, v)
+    history = [[h] for h in np.sqrt(cost)]
+    final_v, final_rsum = v.copy(), rsum.copy()
+    start = np.arange(n_starts)
+    lam = np.full(n_starts, LM_DAMPING)
+    iters = np.zeros(n_starts, dtype=int)
+    fails = np.zeros(n_starts, dtype=int)   # failed trials this iteration
+    fresh = np.ones(n_starts, dtype=bool)   # begins an iteration this round
+    stop = np.zeros(n_starts, dtype=bool)
+    A = np.empty((n_starts, n, n))
+    g = np.empty((n_starts, n))
+    diag = np.empty((n_starts, n))
+    while True:
+        stop |= fresh & ((rsum <= cfg.tolerance)
+                         | (iters == cfg.max_iterations))
+        if stop.any():
+            final_v[start[stop]] = v[stop]
+            final_rsum[start[stop]] = rsum[stop]
+            keep = ~stop
+            (start, v, r, cost, rsum, lam, iters, fails, fresh, A, g,
+             diag) = (x[keep] for x in (start, v, r, cost, rsum, lam, iters,
+                                        fails, fresh, A, g, diag))
+            if not len(start):
+                return final_v, final_rsum, history
+        if fresh.any():
+            A[fresh], g[fresh], diag[fresh] = _normal_equations(
+                k, model, v[fresh], r[fresh])
+            fails[fresh] = 0
+        vc = v + _damped_step(A, g, lam, diag)
+        finite = np.isfinite(vc).all(axis=-1)
+        if not finite.all():  # the first such point's data raises
+            ADHMData.from_parameter_vector(k, model, vc[np.argmin(finite)])
+        rc, cc, rsc = _evaluate(k, model, vc)
+        fresh = cc < cost
+        v[fresh], r[fresh], cost[fresh], rsum[fresh] = (
+            vc[fresh], rc[fresh], cc[fresh], rsc[fresh])
+        lam = np.where(fresh, np.maximum(lam / 3.0, 1e-14), lam * 10.0)
+        iters += fresh
+        fails += ~fresh
+        stop = ~fresh & ((lam > 1e12) | (fails == 60))
+        ended = fresh | stop
+        for i, h in zip(start[ended], np.sqrt(cost[ended])):
+            history[i].append(h)
+
+
+def _random_start(k, model, rng) -> np.ndarray:
+    """The parameter vector of complex Gaussian data, scaled up to the
+    model's deformation level."""
     scale = max(1.0, np.sqrt(abs(model.zeta_level)))
-
-    def gauss(shape):
-        return scale * (rng.standard_normal(shape)
-                        + 1j * rng.standard_normal(shape))
-
-    return ADHMData(k, model, gauss((k, k)), gauss((k, k)),
-                    gauss((k, 2)), gauss((2, k)))
+    return scale * rng.standard_normal(4 * k * k + 8 * k)
 
 
 def solve(k: int, model: TwistModel, zeta: float | None = None,
@@ -245,8 +317,13 @@ def solve(k: int, model: TwistModel, zeta: float | None = None,
     """Best-of-multistarts solution of the model's ADHM equations.
 
     ``zeta`` defaults to the model's deformation level and is validated
-    against it otherwise.  Deterministic for a fixed config and seed; ties
-    between starts break on residual, then on parameter norm.
+    against it otherwise.  Each start is drawn from its own child generator,
+    in order.  The starts descend in lock step, in batches that hold at
+    most ``LM_BATCH_BYTES`` of normal matrices and at least one start; a
+    level at which the equations at a batch's starts overflow is rejected
+    before that batch descends.  The result does not depend on the batch
+    size, and it is deterministic for a fixed config and seed; ties between
+    starts break on residual, then on parameter norm, then on start order.
     """
     if k < 1:
         raise ShapeError("k must be >= 1")
@@ -254,16 +331,26 @@ def solve(k: int, model: TwistModel, zeta: float | None = None,
     if zeta is not None and not abs(zeta - model.zeta_level) <= 1e-12:
         raise ShapeError(
             f"zeta {zeta} does not match the model level {model.zeta_level}")
+    n = 4 * k * k + 8 * k
+    size = max(1, LM_BATCH_BYTES // (8 * n * n))
     best = None
     best_key = None
     rng = np.random.default_rng(cfg.rng_seed)
-    for start in range(cfg.multistarts):
-        child = np.random.default_rng(rng.integers(0, 2 ** 63 - 1))
-        cand, _ = _lm_minimize(_random_start(k, model, child), cfg)
-        key = (_residual_sum(*adhm_equations(cand)), float(np.linalg.norm(
-            cand.parameter_vector())))
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
+    for first in range(0, cfg.multistarts, size):
+        starts = np.array([_random_start(k, model, np.random.default_rng(
+            rng.integers(0, 2 ** 63 - 1)))
+            for _ in range(min(size, cfg.multistarts - first))])
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, cost, rsum = _evaluate(k, model, starts)
+        if not np.isfinite(cost + rsum).all():
+            raise ShapeError(f"level {model.zeta_level} overflows the "
+                             f"equations at the random starts")
+        v, rsum, _ = _lm_minimize(k, model, starts, cfg)
+        norms = np.sqrt(_dots(v))
+        for x, key in zip(v, zip(rsum.tolist(), norms.tolist())):
+            if best_key is None or key < best_key:
+                best, best_key = x, key
+    best = ADHMData.from_parameter_vector(k, model, best)
     if best_key[0] > cfg.tolerance:
         raise NoConvergence(
             f"best residual {best_key[0]:.3e} above tolerance "
@@ -404,7 +491,7 @@ def _frame_tangent_vectors(data: ADHMData) -> np.ndarray:
 
 def moduli_dimension(data: ADHMData) -> JacobianAnalysis:
     """Null-space dimensions of the constraint map at a solution."""
-    residual = _residual_sum(*adhm_equations(data))
+    residual = sum(adhm_residual(data))
     if residual > MODULI_RESIDUAL_TOL:
         raise NotASolution(f"residual {residual:.3e} above "
                            f"{MODULI_RESIDUAL_TOL:.1e}")

@@ -167,10 +167,13 @@ def cmd_solve(args) -> int:
               args.out)
         return 1
     except StarAlgebraError as exc:
-        # solve checks zeta against the model level before any other work
-        if str(exc).startswith("zeta "):
-            raise ValueError(f"argument --zeta: {exc}") from exc
-        raise
+        # before its starts descend, solve checks zeta against the model
+        # level and that the level, set by --hbar, does not overflow the
+        # equations at the random starts
+        flag = {"zeta": "--zeta", "level": "--hbar"}.get(str(exc).split()[0])
+        if flag is None:
+            raise
+        raise ValueError(f"argument {flag}: {exc}") from exc
     c, h = adhm_residual(data)
     out = data.to_json_dict()
     out["report"] = {"complex_residual": c, "real_residual": h,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,8 +136,27 @@ def parameter_blocks(k, v):
     return mats
 
 
-def adhm_equations(data: ADHMData):
-    """The complex and the Hermitian equation matrices; zero on solutions."""
+class ADHMStack(NamedTuple):
+    """(B1, B2, I, J) of several data of one k and model, stacked along
+    leading axes and unchecked: the solver's batch of starts.  It has the
+    attributes of ``ADHMData`` that ``adhm_equations`` and the solver's
+    ``constraint_jacobian`` read, so both take either."""
+
+    k: int
+    model: TwistModel
+    B1: np.ndarray
+    B2: np.ndarray
+    I: np.ndarray
+    J: np.ndarray
+
+    @staticmethod
+    def from_parameter_vectors(k, model, v) -> "ADHMStack":
+        return ADHMStack(k, model, *parameter_blocks(k, v))
+
+
+def adhm_equations(data: ADHMData | ADHMStack):
+    """The complex and the Hermitian equation matrices; zero on solutions.
+    For an ``ADHMStack`` they are stacked the same way."""
     mu = data.model.mu
     B1, B2, I, J = data.B1, data.B2, data.I, data.J
     complex_eq = np.conj(mu) * B1 @ B2 - mu * B2 @ B1 + I @ J

@@ -141,6 +141,23 @@ def _fresh_process(argv):
     return r.returncode, r.stdout, r.stderr
 
 
+@pytest.mark.parametrize("hbar, code", [("1e160", 2), ("1e140", 1)])
+def test_large_hbar_ends_without_numpy_warnings(hbar, code):
+    # a level that overflows the equations at the random starts is a usage
+    # error; a large one that does not is an honest failed solve
+    code_, out, err = _fresh_process(
+        ["solve", "--model", "moyal", "--hbar", hbar, "--alpha", "1",
+         "--beta", "1", "--k", "1"])
+    assert code_ == code
+    if code == 2:
+        assert out == ""
+        assert err == ("error: argument --hbar: level 2e+160 overflows the "
+                       "equations at the random starts\n")
+    else:
+        assert err == ""
+        assert json.loads(out)["error"] == "NoConvergence"
+
+
 def test_python_dash_m_runs_the_cli():
     code, out, err = _fresh_process(["moduli-dim", "--help"])
     assert code == 0, err
@@ -223,6 +240,12 @@ def test_nonpositive_count_is_a_usage_error(argv, capsys):
      "numeric evaluation needs the classical model"),
     (["charge", "--data", "toric.json"],
      "numeric evaluation needs the classical model"),
+    (["solve", "--model", "moyal", "--alpha", "1", "--beta", "1", "--k", "1",
+      "--hbar", "1e160"],
+     "level 2e+160 overflows the equations at the random starts"),
+    (["solve", "--model", "moyal", "--alpha", "1", "--beta", "1", "--k", "1",
+      "--hbar", "1e300"],
+     "level 2e+300 overflows the equations at the random starts"),
 ])
 def test_bad_tolerance_or_iteration_cap_is_a_usage_error(argv, message,
                                                          capsys, tmp_path,

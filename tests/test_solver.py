@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from ncadhm import adhm_solver
 from ncadhm.adhm_solver import (
     LM_DAMPING, JacobianAnalysis, NoConvergence, NotASolution, SolveConfig,
     _lm_minimize, _random_start, constraint_jacobian, gauge_distance,
     moduli_dimension, residual_vector, solve,
 )
 from ncadhm.hopf_twist import ClassicalModel, MoyalModel, ToricModel
-from ncadhm.monad import ADHMData, ShapeError, adhm_residual
+from ncadhm.monad import ADHMData, ADHMStack, ShapeError, adhm_residual
 
 
 def rand_unitary(k, rng):
@@ -62,11 +63,17 @@ def test_solve_config_rejects_counts_below_one(field, value):
         SolveConfig(**{field: value})
 
 
+def _lm_one(k, model, start, cfg):
+    """``_lm_minimize`` on a batch of one start: (final data, history)."""
+    v, _, (history,) = _lm_minimize(k, model, start[None], cfg)
+    return ADHMData.from_parameter_vector(k, model, v[0]), history
+
+
 def test_residual_monotone_history():
     cfg = SolveConfig(rng_seed=1, multistarts=1)
-    start = _random_start(1, MoyalModel(0.25, 1.0, 1.0),
-                          np.random.default_rng(cfg.rng_seed))
-    _, history = _lm_minimize(start, cfg)
+    model = MoyalModel(0.25, 1.0, 1.0)
+    start = _random_start(1, model, np.random.default_rng(cfg.rng_seed))
+    _, history = _lm_one(1, model, start, cfg)
     assert all(b <= a + 1e-15 for a, b in zip(history, history[1:]))
 
 
@@ -239,6 +246,17 @@ def test_batched_jacobian_equals_column_loop_on_zero_entries_and_k5():
     cases += [rand_complex_data(5, model, rng) for model in MODELS]
     for d in cases:
         assert np.array_equal(constraint_jacobian(d), _jacobian_column_loop(d))
+    # the same data stacked by k and model, zero entries and all: each slice
+    # is the single-datum Jacobian
+    for model in MODELS:
+        for k in (1, 2, 3, 5):
+            group = [d for d in cases if d.k == k and d.model is model]
+            stack = ADHMStack.from_parameter_vectors(
+                k, model, np.array([d.parameter_vector() for d in group]))
+            jac = constraint_jacobian(stack)
+            assert jac.shape == (len(group), 3 * k * k, 4 * k * k + 8 * k)
+            for d, slice_ in zip(group, jac):
+                assert np.array_equal(slice_, constraint_jacobian(d))
 
 
 def _lm_reference(data, cfg):
@@ -284,10 +302,118 @@ def test_lm_carried_state_matches_returned_point(k, model):
     # leaves the history out of step with the point returned
     cfg = SolveConfig(tolerance=1e-12 if k == 1 else 1e-10)
     start = _random_start(k, model, np.random.default_rng(50 + k))
-    d, history = _lm_minimize(start, cfg)
+    d, history = _lm_one(k, model, start, cfg)
     assert all(b <= a for a, b in zip(history, history[1:]))
     r = residual_vector(d)
     assert history[-1] == np.sqrt(float(r @ r))
-    ref, ref_history = _lm_reference(start, cfg)
+    ref, ref_history = _lm_reference(
+        ADHMData.from_parameter_vector(k, model, start), cfg)
     assert history == ref_history
     assert np.array_equal(d.parameter_vector(), ref.parameter_vector())
+
+
+def _solve_reference(k, model, cfg):
+    """``solve`` one start at a time through ``_lm_reference``: the same
+    child seeds and best-of key.  (starts, each start's final vector and
+    history, best data, best key)."""
+    rng = np.random.default_rng(cfg.rng_seed)
+    starts, finals, histories = [], [], []
+    best = best_key = None
+    for _ in range(cfg.multistarts):
+        child = np.random.default_rng(rng.integers(0, 2 ** 63 - 1))
+        starts.append(_random_start(k, model, child))
+        cand, history = _lm_reference(
+            ADHMData.from_parameter_vector(k, model, starts[-1]), cfg)
+        finals.append(cand.parameter_vector())
+        histories.append(history)
+        key = (sum(adhm_residual(cand)),
+               float(np.linalg.norm(cand.parameter_vector())))
+        if best_key is None or key < best_key:
+            best, best_key = cand, key
+    return starts, finals, histories, best, best_key
+
+
+def _solve_bits(k, model, cfg):
+    """solve's outcome as comparable bits: its vector, or NoConvergence's
+    best residual and vector."""
+    try:
+        return ("solved", solve(k, model, cfg=cfg).parameter_vector().tobytes())
+    except NoConvergence as exc:
+        return ("no convergence", exc.best_residual,
+                exc.best.parameter_vector().tobytes())
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+@pytest.mark.parametrize("max_iterations", [200, 2])
+def test_lock_step_solve_matches_one_start_at_a_time(k, model,
+                                                     max_iterations):
+    # every start of the lock-step batch follows the trajectory it follows
+    # alone, so the best-of result is the one-at-a-time result, bit for bit
+    for multistarts in (1, 3, 8, 20):
+        cfg = SolveConfig(rng_seed=60 + multistarts, multistarts=multistarts,
+                          tolerance=1e-12 if k == 1 else 1e-10,
+                          max_iterations=max_iterations)
+        starts, finals, histories, best, best_key = _solve_reference(
+            k, model, cfg)
+        batch_finals, _, batch_histories = _lm_minimize(
+            k, model, np.array(starts), cfg)
+        assert batch_histories == histories
+        assert batch_finals.tobytes() == np.array(finals).tobytes()
+        bits = best.parameter_vector().tobytes()
+        if best_key[0] <= cfg.tolerance:
+            assert _solve_bits(k, model, cfg) == ("solved", bits)
+        else:
+            assert max_iterations == 2
+            assert _solve_bits(k, model, cfg) == ("no convergence",
+                                                  best_key[0], bits)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("max_iterations", [200, 2])
+def test_batch_budget_does_not_change_the_solve(k, max_iterations,
+                                                monkeypatch):
+    # a budget of one start's normal matrix, or of two, splits the starts
+    # into batches of one or two (a budget below one start still runs one);
+    # the bits are those of one full batch
+    model = MoyalModel(0.2, 1.0, 0.5)
+    cfg = SolveConfig(rng_seed=70, multistarts=5, max_iterations=max_iterations,
+                      tolerance=1e-12 if k == 1 else 1e-10)
+    sizes = []
+
+    def spy(k, model, v, cfg):
+        sizes.append(len(v))
+        return _lm_minimize(k, model, v, cfg)
+
+    monkeypatch.setattr(adhm_solver, "_lm_minimize", spy)
+    full = _solve_bits(k, model, cfg)
+    assert sizes == [5]
+    one_start = 8 * (4 * k * k + 8 * k) ** 2
+    for budget, batches in ((one_start, [1] * 5), (one_start - 1, [1] * 5),
+                            (2 * one_start, [2, 2, 1])):
+        monkeypatch.setattr(adhm_solver, "LM_BATCH_BYTES", budget)
+        sizes.clear()
+        assert _solve_bits(k, model, cfg) == full
+        assert sizes == batches
+
+
+def test_non_finite_trial_point_is_a_shape_error():
+    # a start scaled by 1e160 overflows its normal matrix, so the first
+    # trial point is not finite; its data's own check names the block
+    model = ClassicalModel()
+    v = _random_start(1, model, np.random.default_rng(0))[None] * 1e160
+    with np.errstate(all="ignore"):
+        with pytest.raises(ShapeError, match="^B1 has non-finite entries$"):
+            _lm_minimize(1, model, v, SolveConfig())
+
+
+@pytest.mark.parametrize("hbar", [1e160, 1e300])
+def test_overflowing_level_is_rejected_before_any_descent(hbar, monkeypatch):
+    def fail(*args):
+        raise AssertionError("the descent ran")
+
+    monkeypatch.setattr(adhm_solver, "_lm_minimize", fail)
+    with np.errstate(all="raise"):
+        with pytest.raises(ShapeError, match="overflows the equations at the "
+                                             "random starts"):
+            solve(1, MoyalModel(hbar, 1.0, 1.0))

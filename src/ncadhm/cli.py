@@ -140,7 +140,7 @@ def cmd_relations(args) -> int:
     space = {"C4": C4, "R4": R4, "MonadM": "MonadM"}[args.space]
     rel = derive_relations(model, space, k=args.k,
                            calculus=not args.no_calculus)
-    out = rel.to_json_dict()
+    out = rel.streamed_json_dict()
     out["note"] = ("pairs without an explicit rule commute up to the "
                    "graded sign")
     _emit(out, args.out)

@@ -402,6 +402,17 @@ def _centrality_residual(model: TwistModel, rel: RelationSystem,
     symbolic generators commute with all of them (for the torus model this
     is the zero-net-weight bookkeeping).  ``rel`` is the smash system with
     the index-``k`` monad letters.
+
+    One representative of each orbit is checked: the entries rho_cd with
+    c <= d, against the row-1 monad letters, their conjugates and the 8
+    dressed coordinates.  rho_cd sums over all rows, so a row permutation
+    of the monad letters fixes it, and that permutation is an automorphism
+    of ``rel`` (``test_row_and_column_permutations_map_rules_to_identities``
+    in tests/test_hopf_twist.py).  In a confluent system a commutator is
+    zero exactly when its normal form is, so [rho_cd, M^j_ef] vanishes
+    exactly when [rho_cd, M^j_1f] does.  rho_dc = rho_cd* and the test set
+    is closed under *, which covers c > d.  The residual is the largest
+    over what is checked.
     """
     def sym(a, b):
         """sum_j M^j_ab (x) (coaction of z_j), the (a, b) entry of sigma."""
@@ -411,15 +422,15 @@ def _centrality_residual(model: TwistModel, rel: RelationSystem,
         return normal_form(out, rel)
 
     test_elements = [NCPolynomial.from_generator(g) for g in rel.generators
-                     if g.space == MONAD_M]
+                     if g.space == MONAD_M and g.row == 1]
     test_elements += [normal_form(smash_image(model, (), z(j, conj)), rel)
                       for j in range(1, 5) for conj in (False, True)]
 
     S = PolyMatrix([[sym(a, b) for b in range(1, k + 1)]
                     for a in range(1, 2 * k + 3)])
     worst = 0.0
-    for row in S.adjoint(rel).matmul(S, rel).entries:
-        for rho in row:
+    for c, row in enumerate(S.adjoint(rel).matmul(S, rel).entries):
+        for rho in row[c:]:
             for gp in test_elements:
                 comm = multiply(rho, gp, rel) - multiply(gp, rho, rel)
                 worst = max(worst, comm.eval_norm(model.theta))

@@ -418,18 +418,44 @@ class RelationSystem:
         return any(g.grade == 1 for g in self.generators)
 
     def to_json_dict(self) -> dict:
-        rules = []
-        for pattern in sorted(self.rules, key=word_key):
-            rhs = NCPolynomial()
-            for w, c in self.rules[pattern]:
-                rhs = rhs + NCPolynomial.from_word(w, c)
-            rules.append({"pattern": [g.label() for g in pattern],
-                          "rhs": rhs.to_json_dict()})
+        out = self.streamed_json_dict()
+        out["rules"] = list(out["rules"])
+        return out
+
+    def streamed_json_dict(self) -> dict:
+        """``to_json_dict()`` with its rules built one at a time as a JSON
+        encoder reads them, so the whole rule tree is never held."""
         return {
             "generators": [g.label() for g in self.generators],
-            "rules": rules,
+            "rules": _StreamedRules(self),
             "meta": {k: v for k, v in sorted(self.meta.items())},
         }
+
+    def _rule_json_dict(self, pattern) -> dict:
+        rhs = NCPolynomial()
+        for w, c in self.rules[pattern]:
+            rhs = rhs + NCPolynomial.from_word(w, c)
+        return {"pattern": [g.label() for g in pattern],
+                "rhs": rhs.to_json_dict()}
+
+
+class _StreamedRules(list):
+    """The rule dicts of a relation system, in pattern order, made when
+    they are iterated and kept by no one.
+
+    A list subclass so that ``json`` encodes it as an array; both of its
+    encoders read a list subclass through ``__len__`` and ``__iter__``.
+    """
+
+    def __init__(self, rel: RelationSystem):
+        self._rel = rel
+
+    def __len__(self):
+        return len(self._rel.rules)
+
+    def __iter__(self):
+        return map(self._rel._rule_json_dict,
+                   sorted(self._rel.rules, key=word_key))
 
 
 # -- normal-ordering engine -----------------------------------------------

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -654,6 +655,44 @@ def test_streamed_output_keeps_every_byte(tmp_path, capsys):
     cli._emit(obj, str(path))
     assert path.read_text() == want
     assert capsys.readouterr().out == ""
+
+
+def test_relations_without_rules_writes_an_empty_array(capsys):
+    assert run(["relations", "--model", "classical", "--space", "C4"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith('\n  "rules": []\n}\n')
+    assert json.loads(out)["rules"] == []
+
+
+@pytest.mark.parametrize("model", ["moyal", "toric"])
+def test_relations_out_file_holds_the_stdout_bytes(model, tmp_path, capsys):
+    argv = ["relations", *GOLDEN_MODEL_FLAGS[model],
+            *GOLDEN_RELATIONS_SPACES["MonadM-k2"]]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    path = tmp_path / "rel.json"
+    assert run(argv + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode()
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        GOLDEN_RELATIONS_DIGESTS[model, "MonadM-k2"]
+
+
+def test_relations_memory_is_bounded(tmp_path):
+    # each rule's dict is built when the encoder reaches it; the whole
+    # tree of rule dicts peaked at about 3.5 MiB
+    from ncadhm.hopf_twist import derive_relations
+
+    derive_relations(ToricModel(0.3), "MonadM", k=2)  # warm-up
+    tracemalloc.start()
+    try:
+        assert run(["relations", "--model", "toric", "--theta", "0.25",
+                    "--space", "MonadM", "--k", "2",
+                    "--out", str(tmp_path / "rel.json")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 @pytest.mark.parametrize("target", ["missing/out.json", "."],

@@ -18,6 +18,8 @@ from ncadhm.star_algebra import (
     normal_form, star_closure_residual,
 )
 
+from monad_symmetry import WORKLOAD_MODELS, broken_rules, moved, reversals
+
 HBAR, ALPHA, BETA = 0.1, 1.0, 2.0
 
 
@@ -447,18 +449,6 @@ def _assert_same_rules(got, want):
         [_rhs_bits(rhs) for rhs in want.values()]
 
 
-def _moved(x, cell):
-    """``x`` in the matrix cell ``cell`` when it is a monad letter."""
-    if x.space != MONAD_M:
-        return x
-    return GeneratorId(MONAD_M, x.index, x.conjugated, x.grade, *cell)
-
-
-def _permuted(word, perm):
-    """``word`` with each monad letter moved by ``perm`` on (row, col)."""
-    return tuple(_moved(x, perm(x.row, x.col)) for x in word)
-
-
 RELABEL_MODELS = {"moyal": lambda: MoyalModel(0.1, 1.0, 2.1),
                   "toric": lambda: ToricModel(0.27)}
 
@@ -512,18 +502,23 @@ def test_hopf_action_rules_are_row_and_column_blind(kind):
     for hg in model.hopf_letters():
         for a in model.generators(MONAD_M, k=2):
             rhs = rel.rules.get((hg, a))
-            base = rel.rules.get((hg, _moved(a, (1, 1))))
+            base = rel.rules.get((hg, moved(a, (1, 1))))
             assert (rhs is None) == (base is None), (hg, a)
             if rhs is not None:
                 found += 1
                 assert _rhs_bits(rhs) == _rhs_bits(
-                    [(tuple(_moved(x, (a.row, a.col)) for x in w), c)
+                    [(tuple(moved(x, (a.row, a.col)) for x in w), c)
                      for w, c in base]), (hg, a)
     assert found
 
 
+# The centrality check of tests/test_instanton.py rests on this test for
+# the model parameters of the workloads, so they are cases here too.
+PERMUTATION_MODELS = {**RELABEL_MODELS, **WORKLOAD_MODELS}
+
+
 @pytest.mark.parametrize("k", [1, 2])
-@pytest.mark.parametrize("kind", list(RELABEL_MODELS))
+@pytest.mark.parametrize("kind", list(PERMUTATION_MODELS))
 def test_row_and_column_permutations_map_rules_to_identities(kind, k):
     # Reversing the rows (or the columns) of the monad letters maps every
     # rule to an identity of the same system: the permuted pattern and the
@@ -531,18 +526,8 @@ def test_row_and_column_permutations_map_rules_to_identities(kind, k):
     # swaps the order of any two cells in different rows, so many permuted
     # patterns are not rule keys.  At k=1 there is one column and the
     # column reversal is the identity.
-    model = RELABEL_MODELS[kind]()
-    rows = 2 * k + 2
-    perms = {"rows": lambda a, b: (rows + 1 - a, b),
-             "columns": lambda a, b: (a, k + 1 - b)}
+    model = PERMUTATION_MODELS[kind]()
     for rel in (derive_relations(model, MONAD_M, k=k),
                 smash_relations(model, k=k)):
-        for name, perm in perms.items():
-            for (g, h), rhs in rel.rules.items():
-                lhs = NCPolynomial.from_word(_permuted((g, h), perm))
-                right = NCPolynomial.zero()
-                for w, c in rhs:
-                    right = right + NCPolynomial.from_word(_permuted(w, perm),
-                                                           c)
-                assert (normal_form(lhs, rel) - normal_form(right, rel)
-                        ).eval_norm(model.theta) <= 1e-12, (name, g, h)
+        for name, perm in reversals(k).items():
+            assert broken_rules(rel, perm, model.theta) == [], name

@@ -1,10 +1,14 @@
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from ncadhm.adhm_solver import SolveConfig, solve
-from ncadhm.hopf_twist import ClassicalModel, MoyalModel, ToricModel
+from ncadhm.hopf_twist import (
+    ClassicalModel, MoyalModel, ToricModel, monad_m, smash_image,
+    smash_relations, z,
+)
 from ncadhm.instanton import (
     CURVATURE_CHUNK, ModelMismatch, PointR4, QuadratureBudgetExceeded,
     QuadratureSpec, SingularRho, charge, curvature_asd, curvature_samples,
@@ -13,7 +17,15 @@ from ncadhm.instanton import (
 )
 from ncadhm import instanton
 from ncadhm.instanton import _asd_residuals, _curvature_batch, _density
-from ncadhm.monad import ADHMData, ShapeError, adhm_residual, build_monad
+from ncadhm.monad import (
+    SYMBOLIC_TOL, ADHMData, PolyMatrix, ShapeError, adhm_residual,
+    build_monad,
+)
+from ncadhm.star_algebra import (
+    MONAD_M, NCPolynomial, RelationSystem, multiply, normal_form,
+)
+
+from monad_symmetry import WORKLOAD_MODELS, broken_rules, reversals
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +303,73 @@ def test_symbolic_checks_fail_off_shell(model, k):
         assert c.passed == (c.name == "rho2_centrality")
         if not c.passed:
             assert c.residual > c.tolerance
+
+
+def _reference_centrality_residual(model, rel, k):
+    """The centrality loop over every entry of rho2 and every monad letter,
+    before it checked one representative of each orbit, kept verbatim as a
+    reference."""
+    def sym(a, b):
+        """sum_j M^j_ab (x) (coaction of z_j), the (a, b) entry of sigma."""
+        out = NCPolynomial.zero()
+        for j in range(1, 5):
+            out = out + smash_image(model, (monad_m(j, a, b),), z(j))
+        return normal_form(out, rel)
+
+    test_elements = [NCPolynomial.from_generator(g) for g in rel.generators
+                     if g.space == MONAD_M]
+    test_elements += [normal_form(smash_image(model, (), z(j, conj)), rel)
+                      for j in range(1, 5) for conj in (False, True)]
+
+    S = PolyMatrix([[sym(a, b) for b in range(1, k + 1)]
+                    for a in range(1, 2 * k + 3)])
+    worst = 0.0
+    for row in S.adjoint(rel).matmul(S, rel).entries:
+        for rho in row:
+            for gp in test_elements:
+                comm = multiply(rho, gp, rel) - multiply(gp, rho, rel)
+                worst = max(worst, comm.eval_norm(model.theta))
+    return worst
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("kind", list(WORKLOAD_MODELS))
+def test_centrality_orbits_match_the_full_loop(kind, k):
+    model = WORKLOAD_MODELS[kind]()
+    rel = smash_relations(model, k=k)
+    got = instanton._centrality_residual(model, rel, k)
+    want = _reference_centrality_residual(model, rel, k)
+    assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+def _scaled_rule(rel, pattern):
+    """``rel`` with the first coefficient of the rule at ``pattern`` times
+    1.5, a one-coefficient mutant."""
+    rules = dict(rel.rules)
+    (w, c), *rest = rules[pattern]
+    rules[pattern] = ((w, c.scale(1.5)), *rest)
+    return RelationSystem(rel.generators, rules, rel.star_table,
+                          theta=rel.theta, meta=rel.meta)
+
+
+def test_reduced_centrality_check_is_not_vacuous():
+    # A mutant rule among row-1 letters fails both checks.  One among
+    # row-2 letters fails the full loop only: the reduced check sees no
+    # row-2 letter.  The row permutation test catches that mutant, so the
+    # two together still cover it.
+    model, k = ToricModel(0.25), 1
+    rel = smash_relations(model, k=k)
+    rows = reversals(k)["rows"]
+    assert broken_rules(rel, rows, model.theta) == []
+
+    row1 = _scaled_rule(rel, (monad_m(3, 1, 1), monad_m(1, 1, 1)))
+    assert _reference_centrality_residual(model, row1, k) > SYMBOLIC_TOL
+    assert instanton._centrality_residual(model, row1, k) > SYMBOLIC_TOL
+
+    row2 = _scaled_rule(rel, (monad_m(3, 2, 1), monad_m(1, 2, 1)))
+    assert _reference_centrality_residual(model, row2, k) > SYMBOLIC_TOL
+    assert instanton._centrality_residual(model, row2, k) <= SYMBOLIC_TOL
+    assert broken_rules(row2, rows, model.theta)
 
 
 def test_hodge_star_involution(solved_k1):

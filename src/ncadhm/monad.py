@@ -23,6 +23,7 @@ from .hopf_twist import (
 )
 from .star_algebra import (
     NCPolynomial, StarAlgebraError, adjoint, multiply, normal_form,
+    sum_of_products,
 )
 
 
@@ -259,15 +260,9 @@ class PolyMatrix:
         inner2, cols = other.shape
         if inner != inner2:
             raise ShapeError("polynomial matrix shape mismatch")
-        out = [[NCPolynomial.zero() for _ in range(cols)] for _ in range(rows)]
-        for a in range(rows):
-            for c in range(cols):
-                acc = NCPolynomial.zero()
-                for b in range(inner):
-                    acc = acc + multiply(self.entries[a][b],
-                                         other.entries[b][c], rel)
-                out[a][c] = acc
-        return PolyMatrix(out)
+        return PolyMatrix([[sum_of_products(
+            [(row[b], other.entries[b][c]) for b in range(inner)], rel)
+            for c in range(cols)] for row in self.entries])
 
     def adjoint(self, rel) -> "PolyMatrix":
         rows, cols = self.shape

@@ -16,6 +16,14 @@ equations and the symbolic monad identities agree; see the repository notes.
 A :class:`RelationSystem` holds rewrite rules on pairs of adjacent letters
 that bring words to normal order; :func:`reduce_modulo` further divides by
 side relations (sphere equations, formal inverses) declared zero.
+
+Inside the normal-ordering engine a letter is coded as its position in the
+sorted generators of its system, so words are tuples of small ints and no
+rewrite step hashes a letter.  The engine's table of what
+to do at each pair of codes is filled from ``rules`` when the pair is first
+met, so ``rules`` must not change after a system is first used.  Words are
+decoded to letters on the way out; a letter outside the system, in a word
+or written by a rule, raises :class:`UnknownGenerator`.
 """
 
 from __future__ import annotations
@@ -290,12 +298,6 @@ class NCPolynomial:
     def is_structurally_zero(self) -> bool:
         return not self.terms
 
-    def generators(self):
-        seen = set()
-        for (w, _, _) in self.terms:
-            seen.update(w)
-        return seen
-
     # -- coefficient access -------------------------------------------------
     def coefficient(self, word, hbar=0, mu2=0) -> Coefficient:
         v = self.terms.get((tuple(word), hbar, mu2), 0.0)
@@ -383,8 +385,10 @@ class RelationSystem:
     ``rules`` maps an adjacent letter pair to a tuple of
     ``(word, Coefficient)`` replacement terms; pairs without a rule commute
     up to the Koszul sign.  ``star_table`` maps each generator to its
-    adjoint image (identity entries encode self-adjoint generators).
-    ``theta`` is kept for numeric evaluation of mu-powers.
+    adjoint image (identity entries encode self-adjoint generators); the
+    image of a generator must be a generator.  ``theta`` is kept for
+    numeric evaluation of mu-powers.  ``rules`` must not change after the
+    system is first used: the engine reads the rule of a pair once.
     """
 
     def __init__(self, generators, rules, star_table=None, theta=None,
@@ -401,17 +405,48 @@ class RelationSystem:
         self.star_table = table
         self.theta = theta
         self.meta = dict(meta or {})
+        self._code = {g: i for i, g in enumerate(self.generators)}
+        self._star_codes = self._encode(table[g] for g in self.generators)
+        # one slot per pair of codes (a, b) at a * n + b, None until met
+        self._actions = [None] * len(self.generators) ** 2
 
-    def star(self, g: GeneratorId) -> GeneratorId:
+    def _encode(self, word) -> tuple:
+        """The codes of the letters of ``word``; a letter outside the
+        system raises :class:`UnknownGenerator`."""
         try:
-            return self.star_table[g]
-        except KeyError:
-            raise UnknownGenerator(f"{g} has no adjoint image") from None
+            return tuple(map(self._code.__getitem__, word))
+        except KeyError as err:
+            raise UnknownGenerator(
+                f"{err.args[0]} not in relation system") from None
 
-    def check_generators(self, p: NCPolynomial):
-        for g in p.generators():
-            if g not in self.generator_set:
-                raise UnknownGenerator(f"{g} not in relation system")
+    def _decode(self, terms) -> dict:
+        """A term dict over coded words, decoded, in its order."""
+        letter = self.generators.__getitem__
+        return {(tuple(map(letter, w)), h, m): v
+                for (w, h, m), v in terms.items()}
+
+    def _action(self, a, b):
+        """What the engine does at the adjacent codes ``(a, b)``: the coded
+        rule ``((word, hbar, mu2, value), ...)``, which is ``()`` for a
+        repeated grade-1 letter (the word dies), the swap's float sign, or
+        ``_FREE``; kept for the next time."""
+        g, h = self.generators[a], self.generators[b]
+        rule = self.rules.get((g, h))
+        if rule is not None:
+            try:
+                act = tuple((self._encode(u), c.hbar, c.mu2, c.value)
+                            for u, c in rule)
+            except UnknownGenerator as err:
+                raise UnknownGenerator(
+                    f"the rule for {g}*{h} writes a letter: {err}") from None
+        elif a == b and g.grade:
+            act = ()
+        elif a > b:
+            act = -1.0 if g.grade and h.grade else 1.0
+        else:
+            act = _FREE
+        self._actions[a * len(self.generators) + b] = act
+        return act
 
     @property
     def has_calculus(self) -> bool:
@@ -460,6 +495,11 @@ class _StreamedRules(list):
 
 # -- normal-ordering engine -----------------------------------------------
 
+# What the engine does at a pair that is no redex (see
+# RelationSystem._action); None marks a pair not yet met.
+_FREE = False
+
+
 def _reduce_terms(terms, rel: RelationSystem, budget: int):
     """Worklist reduction of ``(word, hbar, mu2) -> value`` term dicts.
 
@@ -468,6 +508,23 @@ def _reduce_terms(terms, rel: RelationSystem, budget: int):
     (the word dies) or is out of order (the pair commutes up to the Koszul
     sign).  Each rewrite is one step; the step after ``budget`` raises
     :class:`NonTerminating`.
+
+    The words are coded at entry (a letter outside ``rel`` raises
+    :class:`UnknownGenerator`), reduced by :func:`_reduce_coded` and decoded
+    at exit, in the same order.
+    """
+    coded = {(rel._encode(w), h, m): v for (w, h, m), v in terms.items()}
+    return rel._decode(_reduce_coded(coded, rel, budget))
+
+
+def _reduce_coded(terms, rel: RelationSystem, budget: int):
+    """:func:`_reduce_terms` on words of letter codes.
+
+    A letter's code is its position in ``rel.generators``, so codes
+    compare as sort keys do.  What happens at the pair of codes ``(a, b)``
+    sits in ``rel._actions`` at ``a * n + b``, derived from ``rel.rules``
+    when the pair is first met, so a large system pays only for the pairs
+    its words reach.
 
     A stack entry carries the first pair that may still be a redex.  A
     rewrite at pair ``i`` leaves the letters left of ``i`` unchanged, so the
@@ -483,29 +540,32 @@ def _reduce_terms(terms, rel: RelationSystem, budget: int):
     out = {}
     stack = [(w, h, m, v, 0) for (w, h, m), v in terms.items()]
     steps = 0
-    rule_of = rel.rules.get
+    actions = rel._actions
+    n = len(rel.generators)
     while stack:
         w, h, m, v, i = stack.pop()
         if abs(v) <= TOL:
             continue
         last = len(w) - 1
         while i < last:
-            a, b = w[i], w[i + 1]
-            rule = rule_of((a, b))
-            if rule is None and a._key <= b._key and not (a.grade and a == b):
+            a = w[i]
+            b = w[i + 1]
+            act = actions[a * n + b]
+            if act is None:
+                act = rel._action(a, b)
+            if act is _FREE:
                 i += 1
                 continue
             steps += 1
             if steps > budget:
                 raise NonTerminating("rewrite step budget exceeded")
-            if rule is not None:
-                for u, c in rule:
-                    stack.append((w[:i] + u + w[i + 2:], h + c.hbar,
-                                  m + c.mu2, v * c.value, max(i - 1, 0)))
+            if act.__class__ is tuple:  # a rule
+                j = max(i - 1, 0)
+                for u, ch, cm, cv in act:
+                    stack.append((w[:i] + u + w[i + 2:], h + ch, m + cm,
+                                  v * cv, j))
                 break
-            if a.grade and a == b:  # the word dies
-                break
-            v = (-1.0 if a.grade and b.grade else 1.0) * v
+            v = act * v
             w = w[:i] + (b, a) + w[i + 2:]
             i = max(i - 1, 0)
         else:
@@ -521,7 +581,6 @@ def _reduce_terms(terms, rel: RelationSystem, budget: int):
 def normal_form(p: NCPolynomial, rel: RelationSystem,
                 budget: int = STEP_BUDGET) -> NCPolynomial:
     """Bring every word of ``p`` to normal order with respect to ``rel``."""
-    rel.check_generators(p)
     return NCPolynomial(_reduce_terms(p.terms, rel, budget))
 
 
@@ -595,51 +654,73 @@ def reduce_modulo(p: NCPolynomial, rel: RelationSystem, side_relations,
         p = p - prod.scale_coeff(Coefficient(v / pv, h - ph, m - pm))
 
 
+def _coded_terms(p: NCPolynomial, rel: RelationSystem):
+    return [(rel._encode(w), h, m, v) for (w, h, m), v in p.terms.items()]
+
+
+def _coded_product(a: NCPolynomial, b: NCPolynomial, rel: RelationSystem):
+    """The reduced product ``a * b`` as a term dict over coded words."""
+    coded_a, coded_b = _coded_terms(a, rel), _coded_terms(b, rel)
+    prod = {}
+    for wa, ha, ma, va in coded_a:
+        for wb, hb, mb, vb in coded_b:
+            key = (wa + wb, ha + hb, ma + mb)
+            prod[key] = prod.get(key, 0.0) + va * vb
+    return _reduce_coded(prod, rel, STEP_BUDGET)
+
+
 def multiply(a: NCPolynomial, b: NCPolynomial,
              rel: RelationSystem) -> NCPolynomial:
     """Normal form of the concatenation product."""
-    rel.check_generators(a)
-    rel.check_generators(b)
-    prod = {}
-    for (wa, ha, ma), va in a.terms.items():
-        for (wb, hb, mb), vb in b.terms.items():
-            key = (wa + wb, ha + hb, ma + mb)
-            prod[key] = prod.get(key, 0.0) + va * vb
-    return NCPolynomial(_reduce_terms(prod, rel, STEP_BUDGET))
+    return NCPolynomial(rel._decode(_coded_product(a, b, rel)))
+
+
+def sum_of_products(pairs, rel: RelationSystem) -> NCPolynomial:
+    """``x1 y1 + x2 y2 + ...`` over the ``(x, y)`` of ``pairs``: the terms,
+    order and bits of ``acc = acc + multiply(x, y, rel)`` from zero, summed
+    over coded words and decoded once."""
+    acc = {}
+    for x, y in pairs:
+        for key, v in _coded_product(x, y, rel).items():
+            nv = acc.get(key, 0.0) + v
+            if abs(nv) <= TOL:
+                acc.pop(key, None)
+            else:
+                acc[key] = nv
+    return NCPolynomial(rel._decode(acc))
 
 
 def adjoint(p: NCPolynomial, rel: RelationSystem) -> NCPolynomial:
     """Anti-multiplicative involution; coefficients conjugated (anti-real
     hbar, negated mu-power), result in normal form."""
-    rel.check_generators(p)
+    star = rel._star_codes
     out = {}
-    for (w, h, m), v in p.terms.items():
-        sw = tuple(rel.star(g) for g in reversed(w))
+    for w, h, m, v in _coded_terms(p, rel):
+        sw = tuple([star[x] for x in reversed(w)])
         c = Coefficient(v, h, m).conj()
         key = (sw, c.hbar, c.mu2)
         out[key] = out.get(key, 0.0) + c.value
-    return NCPolynomial(_reduce_terms(out, rel, STEP_BUDGET))
+    return NCPolynomial(rel._decode(_reduce_coded(out, rel, STEP_BUDGET)))
 
 
 def differential(p: NCPolynomial, rel: RelationSystem) -> NCPolynomial:
     """Graded Leibniz derivation of degree +1 (d: g -> dg, d(dg) = 0)."""
     if not rel.has_calculus:
         raise MissingCalculus("relation system has no grade-1 generators")
-    rel.check_generators(p)
     out = {}
-    for (w, h, m), v in p.terms.items():
+    for w, h, m, v in _coded_terms(p, rel):
         sign = 1
-        for i, g in enumerate(w):
+        for i, c in enumerate(w):
+            g = rel.generators[c]
             if g.grade == 1:
                 sign = -sign
                 continue
-            dg = g.d()
-            if dg not in rel.generator_set:
+            dc = rel._code.get(g.d())
+            if dc is None:
                 continue  # letters without differentials are constants
-            nw = w[:i] + (dg,) + w[i + 1:]
-            key = (nw, h, m)
+            key = (w[:i] + (dc,) + w[i + 1:], h, m)
             out[key] = out.get(key, 0.0) + sign * v
-    return NCPolynomial(_reduce_terms(out, rel, STEP_BUDGET))
+    return NCPolynomial(rel._decode(_reduce_coded(out, rel, STEP_BUDGET)))
 
 
 # -- validation helpers -----------------------------------------------------

@@ -10,15 +10,17 @@ import pytest
 from ncadhm.star_algebra import (
     Coefficient, GeneratorId, NCPolynomial, NonTerminating, RelationSystem,
     MissingCalculus, UnknownGenerator, adjoint, differential, multiply,
-    normal_form, reduce_modulo, AUX, C4, CP3, HOPF_TORUS, HOPF_TRANS, MONAD_M,
-    R4, S4, TOL, _reduce_terms,
+    normal_form, reduce_modulo, sum_of_products, AUX, C4, CP3, HOPF_TORUS,
+    HOPF_TRANS, MONAD_M, R4, S4, TOL, _reduce_terms,
 )
 from ncadhm.hopf_twist import (
     ClassicalModel, MoyalModel, ToricModel, derive_relations,
     smash_relations, z, zeta,
 )
 from ncadhm.instanton import RHO2_INV
-from ncadhm.monad import ADHMData, adhm_residual, bosonise_monad, build_monad
+from ncadhm.monad import (
+    ADHMData, PolyMatrix, adhm_residual, bosonise_monad, build_monad,
+)
 
 HBAR, ALPHA, BETA = 0.1, 1.0, 2.0
 
@@ -229,13 +231,33 @@ def test_unknown_generator(moyal_c4):
     lambda p, rel: multiply(p, word(z(1)), rel),
     normal_form,
     adjoint,
-], ids=["multiply-right", "multiply-left", "normal_form", "adjoint"])
+    differential,
+    lambda p, rel: sum_of_products([(word(z(1)), word(z(2))),
+                                    (p, word(z(1)))], rel),
+], ids=["multiply-right", "multiply-left", "normal_form", "adjoint",
+        "differential", "sum_of_products"])
 def test_every_entry_point_rejects_an_outside_letter(op, moyal_c4):
-    # the system's generator set is built once and read on every call
+    # the system's letter codes are built once and read on every call
     for _ in range(2):
-        with pytest.raises(UnknownGenerator):
+        with pytest.raises(UnknownGenerator, match="zeta1 not in relation"):
             op(word(z(3), zeta(1)), moyal_c4)
     assert not op(word(z(4), z(3)), moyal_c4).is_structurally_zero()
+
+
+def test_a_rule_that_writes_an_outside_letter_is_refused():
+    a, b = z(1), z(2)
+    rel = RelationSystem([a, b], {(b, a): (((a, zeta(1)), Coefficient(1.0)),
+                                           ((a, b), Coefficient(2.0)))})
+    # words that never reach the rule reduce as before
+    assert normal_form(word(a, b, b), rel).terms == {((a, b, b), 0, 0): 1.0}
+    for _ in range(2):  # refused each time the rule is used, not kept
+        with pytest.raises(UnknownGenerator, match=r"z2\*z1 .*zeta1"):
+            normal_form(word(a, b, a), rel)
+        with pytest.raises(UnknownGenerator, match=r"z2\*z1 .*zeta1"):
+            multiply(word(b), word(a), rel)
+    # likewise an adjoint image outside the system, when it is built
+    with pytest.raises(UnknownGenerator, match="zeta1 not in relation"):
+        RelationSystem([a, b], {}, star_table={a: zeta(1)})
 
 
 def test_duplicate_generators_check_the_same(moyal_c4):
@@ -590,6 +612,77 @@ def test_engine_matches_the_reference_loop(system):
                     reduce(terms, rel, steps - 1)
         stepped += steps > 0
     assert stepped >= 40
+
+
+def _reference_multiply(a, b, rel):
+    """``multiply`` on letter words: the concatenated product summed term
+    by term and reduced by ``_reference_reduce``."""
+    prod = {}
+    for (wa, ha, ma), va in a.terms.items():
+        for (wb, hb, mb), vb in b.terms.items():
+            key = (wa + wb, ha + hb, ma + mb)
+            prod[key] = prod.get(key, 0.0) + va * vb
+    return NCPolynomial(_reference_reduce(prod, rel, 10 ** 6)[0])
+
+
+def _reference_matmul(x, y, rel):
+    """``x.matmul(y, rel)`` as ``acc = acc + product`` in row order."""
+    out = []
+    for row in x.entries:
+        out.append([])
+        for c in range(y.shape[1]):
+            acc = NCPolynomial.zero()
+            for b, entry in enumerate(row):
+                acc = acc + _reference_multiply(entry, y.entries[b][c], rel)
+            out[-1].append(acc)
+    return out
+
+
+def _same_terms(got, want):
+    assert list(got.terms) == list(want.terms)
+    assert [_bits(v) for v in got.terms.values()] == \
+        [_bits(v) for v in want.terms.values()]
+
+
+@pytest.mark.parametrize("system", list(_ENGINE_SYSTEMS))
+def test_products_match_the_reference_on_letter_words(system):
+    # multiply and PolyMatrix.matmul against products of letter words: the
+    # same terms in the same order, equal bit for bit (zero signs included)
+    rel = _ENGINE_SYSTEMS[system]()
+    gens = rel.generators
+    rng = np.random.default_rng(11)
+    values = [1.0 + 0j, complex(-1.0, -0.0), complex(0.0, -0.5),
+              complex(-0.0, 2.0)]
+
+    def poly():
+        terms = {}
+        for _ in range(int(rng.integers(1, 4))):
+            w = tuple(gens[i] for i in rng.integers(0, len(gens),
+                                                    int(rng.integers(0, 4))))
+            h, m = int(rng.integers(0, 2)), 2 * int(rng.integers(-1, 2))
+            if rng.integers(0, 2):
+                v = complex(*rng.standard_normal(2))
+            else:
+                v = values[int(rng.integers(0, len(values)))]
+            terms[(w, h, m)] = v
+        return NCPolynomial(terms)
+
+    # negated copies make entry sums cancel, so terms leave the sum and
+    # come back at its end
+    pool = [poly() for _ in range(4)]
+    pool += [p.scale(-1.0) for p in pool]
+    for x, y in itertools.product(pool[:4], pool[2:6]):
+        _same_terms(multiply(x, y, rel), _reference_multiply(x, y, rel))
+    for _ in range(3):
+        x = PolyMatrix([[pool[int(i)] for i in rng.integers(0, 8, 4)]
+                        for _ in range(2)])
+        y = PolyMatrix([[pool[int(i)] for i in rng.integers(0, 8, 2)]
+                        for _ in range(4)])
+        got = x.matmul(y, rel).entries
+        want = _reference_matmul(x, y, rel)
+        for got_row, want_row in zip(got, want):
+            for g, w in zip(got_row, want_row):
+                _same_terms(g, w)
 
 
 def test_classical_limit_is_sorting():

@@ -243,7 +243,7 @@ def _damped_step(A, g, lam, diag):
     return np.linalg.solve(damped, -g[..., None])[..., 0]
 
 
-def _lm_minimize(k, model, v, cfg: SolveConfig):
+def _lm_minimize(k, model, v, at_v, cfg: SolveConfig):
     """Levenberg-Marquardt descent from each row of the stacked parameter
     vectors ``v``, in lock step: (final vectors, summed equation residuals
     at them, each start's residual norm after each iteration).
@@ -256,11 +256,12 @@ def _lm_minimize(k, model, v, cfg: SolveConfig):
     the start stops once the damping passes 1e12 or 60 trials have failed.
     The live starts' state is one row of each array; a stopped start's row
     is written out and dropped.  A non-finite trial point raises the
-    ShapeError of its data.
+    ShapeError of its data.  ``at_v`` is ``_evaluate(k, model, v)``,
+    which the caller has already made to check it.
     """
     v = np.array(v, dtype=float)
     n_starts, n = v.shape
-    r, cost, rsum = _evaluate(k, model, v)
+    r, cost, rsum = at_v
     history = [[h] for h in np.sqrt(cost)]
     final_v, final_rsum = v.copy(), rsum.copy()
     start = np.arange(n_starts)
@@ -341,11 +342,11 @@ def solve(k: int, model: TwistModel, zeta: float | None = None,
             rng.integers(0, 2 ** 63 - 1)))
             for _ in range(min(size, cfg.multistarts - first))])
         with np.errstate(over="ignore", invalid="ignore"):
-            _, cost, rsum = _evaluate(k, model, starts)
-        if not np.isfinite(cost + rsum).all():
+            at_starts = _evaluate(k, model, starts)
+        if not np.isfinite(at_starts[1] + at_starts[2]).all():
             raise ShapeError(f"level {model.zeta_level} overflows the "
                              f"equations at the random starts")
-        v, rsum, _ = _lm_minimize(k, model, starts, cfg)
+        v, rsum, _ = _lm_minimize(k, model, starts, at_starts, cfg)
         norms = np.sqrt(_dots(v))
         for x, key in zip(v, zip(rsum.tolist(), norms.tolist())):
             if best_key is None or key < best_key:

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -33,23 +34,26 @@ from .instanton import (
     curvature_samples, symbolic_projector_checks,
 )
 from .monad import ADHMData, adhm_residual, build_monad, monad_residual
-from .star_algebra import C4, R4, StarAlgebraError
+from .star_algebra import C4, R4, StarAlgebraError, StreamedRules
 from .twistor import j_squared_residual, verify_embeddings
 
 
-_EMIT_BATCH = 4096  # encoder chunks joined into one write
+_EMIT_CHARS = 1 << 16  # characters joined into each write but the last
 
 
 def _emit(obj, path=None):
     """Write ``obj`` as the text of ``json.dumps(obj, indent=2,
     sort_keys=True)`` and a newline, to stdout or to the --out file.
 
-    The text is written while it is encoded, in joined batches of chunks,
-    so it is never held whole.  The --out file is opened only now, after
-    the work (it may be the --data file), and an error from opening or
-    writing it is a usage error.
+    The text is written while it is encoded, in writes of about
+    ``_EMIT_CHARS`` characters, so it is never held whole.  The rules of a
+    relation system (a ``StreamedRules`` value of a top-level key) are
+    written from a template by ``_rule_chunks``, and the indented encoder
+    writes the rest.  The --out file is opened only now, after the work
+    (it may be the --data file), and an error from opening or writing it
+    is a usage error.
     """
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    chunks = _json_chunks(obj)
     if not path:
         _write_chunks(sys.stdout, chunks)
         return
@@ -61,9 +65,81 @@ def _emit(obj, path=None):
 
 
 def _write_chunks(fh, chunks):
-    while batch := "".join(itertools.islice(chunks, _EMIT_BATCH)):
-        fh.write(batch)
-    fh.write("\n")
+    batch, size = [], 0
+    for chunk in chunks:
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= _EMIT_CHARS:
+            fh.write("".join(batch))
+            batch, size = [], 0
+    fh.write("".join(batch) + "\n")
+
+
+def _json_chunks(obj):
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, in
+    chunks."""
+    encode = json.JSONEncoder(indent=2, sort_keys=True).iterencode
+    if not (isinstance(obj, dict)
+            and any(isinstance(v, StreamedRules) for v in obj.values())):
+        yield from encode(obj)
+        return
+    sep = "{"
+    for key, value in sorted(obj.items()):
+        yield f"{sep}\n  {_json_str(key)}: "
+        sep = ","
+        if isinstance(value, StreamedRules):
+            yield from _rule_chunks(value.rel)
+        else:
+            # a JSON string holds no newline, so this indents every line
+            yield "".join(encode(value)).replace("\n", "\n  ")
+    yield "\n}"
+
+
+def _json_float(x) -> str:
+    """What ``json`` writes for the float ``x``: its repr when finite."""
+    return float.__repr__(x) if -math.inf < x < math.inf else json.dumps(x)
+
+
+# A rule record at depth 2 of a relations document, and one of its terms
+# at depth 5: each placeholder is a leaf or an array (see _array).
+_RECORD = ('{\n      "pattern": %s,\n      "rhs": {\n        "terms": %s'
+           '\n      }\n    }')
+_TERM = ('{\n            "hbar_pow": %d,\n            "im": %s,'
+         '\n            "mu_pow": %d,\n            "re": %s,'
+         '\n            "word": %s\n          }')
+_NEWLINE = tuple("\n" + "  " * depth for depth in range(8))
+
+
+def _array(items, depth) -> str:
+    """The indented text of a JSON array of the encoded ``items`` that is
+    a value at nesting ``depth``."""
+    if not items:
+        return "[]"
+    inner = _NEWLINE[depth + 1]
+    return "[" + inner + ("," + inner).join(items) + _NEWLINE[depth] + "]"
+
+
+def _rule_chunks(rel):
+    """The "rules" array of ``rel``, a value at depth 1 of a document
+    indented as ``_emit`` writes it, one record a chunk.
+
+    Every record has the shape of ``StreamedRules``' dicts, keys sorted, so
+    each is filled into a fixed template from the C string encoder (each
+    label encoded once) and ``_json_float``.
+    """
+    if not rel.rules:
+        yield "[]"
+        return
+    label = functools.cache(lambda g: _json_str(g.label()))
+    sep = "[" + _NEWLINE[2]
+    for pattern, rhs in rel.rule_records():
+        terms = [_TERM % (h, _json_float(v.imag), mu, _json_float(v.real),
+                          _array(list(map(label, w)), 6))
+                 for w, v, h, mu in rhs.json_terms()]
+        yield sep + _RECORD % (_array(list(map(label, pattern)), 3),
+                               _array(terms, 4))
+        sep = "," + _NEWLINE[2]
+    yield _NEWLINE[1] + "]"
 
 
 def _model_from_args(args) -> object:

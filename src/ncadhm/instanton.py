@@ -30,8 +30,8 @@ from .monad import (
     bosonise_j_map, bosonise_monad, build_monad,
 )
 from .star_algebra import (
-    AUX, MONAD_M, GeneratorId, NCPolynomial, RelationSystem, multiply,
-    normal_form, reduce_modulo,
+    AUX, MONAD_M, GeneratorId, NCPolynomial, RelationSystem, adjoint,
+    commutator_norms, multiply, normal_form, reduce_modulo, sum_of_products,
 )
 
 
@@ -403,16 +403,21 @@ def _centrality_residual(model: TwistModel, rel: RelationSystem,
     is the zero-net-weight bookkeeping).  ``rel`` is the smash system with
     the index-``k`` monad letters.
 
-    One representative of each orbit is checked: the entries rho_cd with
-    c <= d, against the row-1 monad letters, their conjugates and the 8
-    dressed coordinates.  rho_cd sums over all rows, so a row permutation
-    of the monad letters fixes it, and that permutation is an automorphism
-    of ``rel`` (``test_row_and_column_permutations_map_rules_to_identities``
-    in tests/test_hopf_twist.py).  In a confluent system a commutator is
-    zero exactly when its normal form is, so [rho_cd, M^j_ef] vanishes
-    exactly when [rho_cd, M^j_1f] does.  rho_dc = rho_cd* and the test set
-    is closed under *, which covers c > d.  The residual is the largest
-    over what is checked.
+    One representative of each orbit is checked, so the count of
+    commutators does not grow with k.  A row permutation of the monad
+    letters fixes every rho_cd (it sums over all rows), and a column
+    permutation pi maps rho_cd to rho_pi(c)pi(d); both are automorphisms of
+    ``rel`` (``test_row_and_column_permutations_map_rules_to_identities``
+    in tests/test_hopf_twist.py checks the row reversal and the adjacent
+    column transpositions, which generate every column permutation).  In a
+    confluent system a commutator is zero exactly when its normal form is.
+    So the diagonal entries are covered by rho_11 against the row-1 monad
+    letters of columns 1 and 2, whose stabiliser permutes columns 2..k,
+    and the others by rho_12 against those of columns 1 to 3, whose
+    stabiliser permutes columns 3..k.  Both also meet the conjugate
+    letters and the 8 dressed coordinates, which no permutation moves.
+    Only columns 1 and 2 of sigma are built.  Each commutator is formed
+    over coded words by ``commutator_norms``; the residual is the largest.
     """
     def sym(a, b):
         """sum_j M^j_ab (x) (coaction of z_j), the (a, b) entry of sigma."""
@@ -421,19 +426,21 @@ def _centrality_residual(model: TwistModel, rel: RelationSystem,
             out = out + smash_image(model, (monad_m(j, a, b),), z(j))
         return normal_form(out, rel)
 
-    test_elements = [NCPolynomial.from_generator(g) for g in rel.generators
-                     if g.space == MONAD_M and g.row == 1]
-    test_elements += [normal_form(smash_image(model, (), z(j, conj)), rel)
-                      for j in range(1, 5) for conj in (False, True)]
-
-    S = PolyMatrix([[sym(a, b) for b in range(1, k + 1)]
-                    for a in range(1, 2 * k + 3)])
+    dressed = [normal_form(smash_image(model, (), z(j, conj)), rel)
+               for j in range(1, 5) for conj in (False, True)]
+    rows = range(1, 2 * k + 3)
+    sigma_1 = [sym(a, 1) for a in rows]
+    sigma_1_dag = [adjoint(p, rel) for p in sigma_1]
+    orbits = [(sigma_1, (1, 2))]  # rho_11
+    if k > 1:
+        orbits.append(([sym(a, 2) for a in rows], (1, 2, 3)))  # rho_12
     worst = 0.0
-    for c, row in enumerate(S.adjoint(rel).matmul(S, rel).entries):
-        for rho in row[c:]:
-            for gp in test_elements:
-                comm = multiply(rho, gp, rel) - multiply(gp, rho, rel)
-                worst = max(worst, comm.eval_norm(model.theta))
+    for sigma_d, cols in orbits:
+        rho = sum_of_products(zip(sigma_1_dag, sigma_d), rel)
+        letters = [NCPolynomial.from_generator(g) for g in rel.generators
+                   if g.space == MONAD_M and g.row == 1 and g.col in cols]
+        for r in commutator_norms(rho, letters + dressed, rel, model.theta):
+            worst = max(worst, r)
     return worst
 
 

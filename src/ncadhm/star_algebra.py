@@ -330,15 +330,19 @@ class NCPolynomial:
             parts.append(f"{c!r}*{text}")
         return " + ".join(parts)
 
-    def to_json_dict(self) -> dict:
-        terms = []
+    def json_terms(self):
+        """``(word, value, hbar_pow, mu_pow)`` of each term, in the order
+        of ``sorted_terms``; a half-integer mu power raises."""
         for (w, h, m), v in self.sorted_terms():
             if m % 2:
                 raise StarAlgebraError("half-integer mu power in exported term")
-            terms.append({"word": [g.label() for g in w],
-                          "re": v.real, "im": v.imag,
-                          "hbar_pow": h, "mu_pow": m // 2})
-        return {"terms": terms}
+            yield w, v, h, m // 2
+
+    def to_json_dict(self) -> dict:
+        return {"terms": [{"word": [g.label() for g in w],
+                           "re": v.real, "im": v.imag,
+                           "hbar_pow": h, "mu_pow": mu}
+                          for w, v, h, mu in self.json_terms()]}
 
     def __repr__(self):
         return self.canonical_text()
@@ -458,39 +462,42 @@ class RelationSystem:
         return out
 
     def streamed_json_dict(self) -> dict:
-        """``to_json_dict()`` with its rules built one at a time as a JSON
-        encoder reads them, so the whole rule tree is never held."""
+        """``to_json_dict()`` with its rules built one at a time as they
+        are written, so the whole rule tree is never held."""
         return {
             "generators": [g.label() for g in self.generators],
-            "rules": _StreamedRules(self),
+            "rules": StreamedRules(self),
             "meta": {k: v for k, v in sorted(self.meta.items())},
         }
 
-    def _rule_json_dict(self, pattern) -> dict:
-        rhs = NCPolynomial()
-        for w, c in self.rules[pattern]:
-            rhs = rhs + NCPolynomial.from_word(w, c)
-        return {"pattern": [g.label() for g in pattern],
-                "rhs": rhs.to_json_dict()}
+    def rule_records(self):
+        """``(pattern, rhs)`` of each rule, in pattern order, with the
+        rule's terms summed into the polynomial ``rhs``."""
+        for pattern in sorted(self.rules, key=word_key):
+            rhs = NCPolynomial()
+            for w, c in self.rules[pattern]:
+                rhs._accum((tuple(w), c.hbar, c.mu2), c.value)
+            yield pattern, rhs
 
 
-class _StreamedRules(list):
-    """The rule dicts of a relation system, in pattern order, made when
-    they are iterated and kept by no one.
+class StreamedRules(list):
+    """The rule dicts of the relation system ``rel``, in pattern order,
+    made when they are iterated and kept by no one.
 
     A list subclass so that ``json`` encodes it as an array; both of its
     encoders read a list subclass through ``__len__`` and ``__iter__``.
     """
 
     def __init__(self, rel: RelationSystem):
-        self._rel = rel
+        self.rel = rel
 
     def __len__(self):
-        return len(self._rel.rules)
+        return len(self.rel.rules)
 
     def __iter__(self):
-        return map(self._rel._rule_json_dict,
-                   sorted(self._rel.rules, key=word_key))
+        for pattern, rhs in self.rel.rule_records():
+            yield {"pattern": [g.label() for g in pattern],
+                   "rhs": rhs.to_json_dict()}
 
 
 # -- normal-ordering engine -----------------------------------------------
@@ -529,13 +536,22 @@ def _reduce_coded(terms, rel: RelationSystem, budget: int):
     A stack entry carries the first pair that may still be a redex.  A
     rewrite at pair ``i`` leaves the letters left of ``i`` unchanged, so the
     pairs left of ``i - 1`` stay free of redexes and the scan resumes at
-    ``max(i - 1, 0)``: it finds the same redex as a rescan from 0.  A swap
-    is applied in place and its word scanned on, as the word it would push
-    is the next one popped.  So words are rewritten, popped and summed into
-    the result in one fixed order, whatever the budget.  A swap multiplies
-    the value by a float sign, ``-1.0`` or ``1.0``, as a complex product:
-    ``-v`` or ``v`` can differ from it in the sign of a zero part and in an
-    infinite one.
+    ``max(i - 1, 0)``: it finds the same redex as a rescan from 0.
+
+    A swap is applied in place, in a list copy of the word, as the word it
+    would push is the next one popped.  The scan meets a swap at pair ``p``
+    with every pair left of ``p`` free, so the right letter ``b`` of the
+    swap bubbles left, one swap and one step per pair, until the pair on
+    its left is free or a rule, or ``b`` starts the word.  A rule there is
+    applied on the next turn.  Otherwise, with ``b`` at ``j``, only the
+    pair ``(b, next letter)`` at ``j`` is new: the pairs from ``j + 1`` to
+    ``p`` are the old free pairs from ``j`` to ``p - 1``, moved one place
+    right.  So the scan checks pair ``j`` and, when it is free, jumps to
+    ``p + 1``.  This is the leftmost redex of a rescan from 0 at every
+    step, so words are rewritten, popped and summed into the result in one
+    fixed order, whatever the budget.  A swap multiplies the value by a
+    float sign, ``-1.0`` or ``1.0``, as a complex product: ``-v`` or ``v``
+    can differ from it in the sign of a zero part and in an infinite one.
     """
     out = {}
     stack = [(w, h, m, v, 0) for (w, h, m), v in terms.items()]
@@ -560,16 +576,42 @@ def _reduce_coded(terms, rel: RelationSystem, budget: int):
             if steps > budget:
                 raise NonTerminating("rewrite step budget exceeded")
             if act.__class__ is tuple:  # a rule
+                w = tuple(w)
                 j = max(i - 1, 0)
                 for u, ch, cm, cv in act:
                     stack.append((w[:i] + u + w[i + 2:], h + ch, m + cm,
                                   v * cv, j))
                 break
-            v = act * v
-            w = w[:i] + (b, a) + w[i + 2:]
-            i = max(i - 1, 0)
+            if w.__class__ is tuple:
+                w = list(w)
+            p = i
+            while True:  # swap b left past a
+                v = act * v
+                w[i] = b
+                w[i + 1] = a
+                if not i:
+                    break
+                a = w[i - 1]
+                act = actions[a * n + b]
+                if act is None:
+                    act = rel._action(a, b)
+                if act.__class__ is not float:
+                    break
+                steps += 1
+                if steps > budget:
+                    raise NonTerminating("rewrite step budget exceeded")
+                i -= 1
+            if act.__class__ is tuple:
+                i -= 1  # the rule at (a, b), applied on the next turn
+                continue
+            c = w[i + 1]
+            act = actions[b * n + c]
+            if act is None:
+                act = rel._action(b, c)
+            if act is _FREE:
+                i = p + 1
         else:
-            key = (w, h, m)
+            key = (tuple(w), h, m)
             nv = out.get(key, 0.0) + v
             if abs(nv) <= TOL:
                 out.pop(key, None)
@@ -658,9 +700,9 @@ def _coded_terms(p: NCPolynomial, rel: RelationSystem):
     return [(rel._encode(w), h, m, v) for (w, h, m), v in p.terms.items()]
 
 
-def _coded_product(a: NCPolynomial, b: NCPolynomial, rel: RelationSystem):
-    """The reduced product ``a * b`` as a term dict over coded words."""
-    coded_a, coded_b = _coded_terms(a, rel), _coded_terms(b, rel)
+def _coded_product(coded_a, coded_b, rel: RelationSystem):
+    """The reduced product of two coded term lists, as a term dict over
+    coded words."""
     prod = {}
     for wa, ha, ma, va in coded_a:
         for wb, hb, mb, vb in coded_b:
@@ -672,7 +714,8 @@ def _coded_product(a: NCPolynomial, b: NCPolynomial, rel: RelationSystem):
 def multiply(a: NCPolynomial, b: NCPolynomial,
              rel: RelationSystem) -> NCPolynomial:
     """Normal form of the concatenation product."""
-    return NCPolynomial(rel._decode(_coded_product(a, b, rel)))
+    return NCPolynomial(rel._decode(_coded_product(
+        _coded_terms(a, rel), _coded_terms(b, rel), rel)))
 
 
 def sum_of_products(pairs, rel: RelationSystem) -> NCPolynomial:
@@ -681,13 +724,39 @@ def sum_of_products(pairs, rel: RelationSystem) -> NCPolynomial:
     over coded words and decoded once."""
     acc = {}
     for x, y in pairs:
-        for key, v in _coded_product(x, y, rel).items():
+        for key, v in _coded_product(
+                _coded_terms(x, rel), _coded_terms(y, rel), rel).items():
             nv = acc.get(key, 0.0) + v
             if abs(nv) <= TOL:
                 acc.pop(key, None)
             else:
                 acc[key] = nv
     return NCPolynomial(rel._decode(acc))
+
+
+def commutator_norms(x: NCPolynomial, ys, rel: RelationSystem,
+                     theta: float | None) -> list:
+    """``(multiply(x, y, rel) - multiply(y, x, rel)).eval_norm(theta)`` for
+    each ``y`` of ``ys``, in order and with the same bits.
+
+    ``x`` is coded once, and both products are formed and subtracted over
+    coded words, so no product is decoded: the difference keeps the order,
+    the ``+ -v`` and the TOL pruning of ``NCPolynomial.__sub__``, and the
+    evaluation groups terms by word as ``eval_norm`` does.
+    """
+    cx = _coded_terms(x, rel)
+    norms = []
+    for y in ys:
+        cy = _coded_terms(y, rel)
+        diff = _coded_product(cx, cy, rel)
+        for key, v in _coded_product(cy, cx, rel).items():
+            nv = diff.get(key, 0.0) + -v
+            if abs(nv) <= TOL:
+                diff.pop(key, None)
+            else:
+                diff[key] = nv
+        norms.append(NCPolynomial(diff).eval_norm(theta))
+    return norms
 
 
 def adjoint(p: NCPolynomial, rel: RelationSystem) -> NCPolynomial:

@@ -2,8 +2,9 @@
 
 Shared by the relabelling tests of tests/test_hopf_twist.py and the
 centrality tests of tests/test_instanton.py: the centrality check looks at
-the row-1 monad letters only, which is sound while a row permutation maps
-every rule of the smash system to an identity of the same system.
+the row-1 monad letters of columns 1 to 3 only, which is sound while every
+row and column permutation maps every rule of the smash system to an
+identity of the same system.
 """
 
 from ncadhm.hopf_twist import MoyalModel, ToricModel
@@ -52,3 +53,11 @@ def broken_rules(rel, perm, theta):
                 ).eval_norm(theta) > 1e-12:
             broken.append((g, h))
     return broken
+
+
+def column_transpositions(k):
+    """The transpositions of adjacent columns c and c + 1 of the
+    index-``k`` cells, which generate every permutation of the columns."""
+    return {f"columns {c},{c + 1}":
+            lambda a, b, c=c: (a, {c: c + 1, c + 1: c}.get(b, b))
+            for c in range(1, k)}

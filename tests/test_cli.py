@@ -642,19 +642,78 @@ def test_relations_expands_each_letters_coaction_once(capsys, monkeypatch):
 
 
 def test_streamed_output_keeps_every_byte(tmp_path, capsys):
-    # the largest pinned relations object spans many write batches
+    # the largest pinned relations object spans many writes, as plain rule
+    # dicts (the indented encoder) and as streamed rules (the template)
     from ncadhm.hopf_twist import derive_relations
 
-    obj = derive_relations(ToricModel(0.3), "MonadM", k=2).to_json_dict()
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
-    assert sum(1 for _ in chunks) > 10 * cli._EMIT_BATCH
+    rel = derive_relations(ToricModel(0.3), "MonadM", k=2)
+    obj = rel.to_json_dict()
     want = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    cli._emit(obj)
-    assert capsys.readouterr().out == want
+    assert len(want) > 10 * cli._EMIT_CHARS
     path = tmp_path / "rel.json"
-    cli._emit(obj, str(path))
-    assert path.read_text() == want
-    assert capsys.readouterr().out == ""
+    for doc in (obj, rel.streamed_json_dict()):
+        cli._emit(doc)
+        assert capsys.readouterr().out == want
+        cli._emit(doc, str(path))
+        assert path.read_text() == want
+        assert capsys.readouterr().out == ""
+
+
+def _relations_documents():
+    """Every relation system the CLI builds at k <= 2, by name, and
+    hand-built ones with extreme floats, cancelled and empty right sides,
+    an empty word, no rules and meta text that needs escaping."""
+    from ncadhm.hopf_twist import derive_relations, z
+    from ncadhm.star_algebra import C4, MONAD_M, R4, Coefficient
+    from ncadhm.star_algebra import RelationSystem
+
+    for name, model in (("classical", ClassicalModel()),
+                        ("moyal", MoyalModel(0.1, 1.0, 2.1)),
+                        ("toric", ToricModel(0.25))):
+        for space, k in ((C4, 1), (R4, 1), (MONAD_M, 1), (MONAD_M, 2)):
+            for calculus in (True, False):
+                yield (f"{name}-{space}-k{k}-calculus-{calculus}",
+                       derive_relations(model, space, k=k,
+                                        calculus=calculus))
+    big, tiny, inf = 1.7976931348623157e308, 5e-324, float("inf")
+    g1, g2, g3 = z(1), z(2), z(3)
+    rules = {
+        (g2, g1): (((), Coefficient(complex(tiny, -0.0))),  # pruned
+                   ((), Coefficient(complex(2.0, 0.0), 0, 2)),
+                   ((g1, g2), Coefficient(complex(big, 1.0), 1, 2)),
+                   ((g2,), Coefficient(complex(-1.0, -big))),
+                   ((g1,), Coefficient(complex(-tiny, -1.5), 3, -4)),
+                   ((g3,), Coefficient(complex(inf, float("nan"))))),
+        (g3, g1): (((g1, g3), Coefficient(1.0)),
+                   ((g1, g3), Coefficient(-1.0))),
+        (g3, g2): (),
+    }
+    meta = {"model": 'a "quoted\\" \u00e9\n\u2028 \x00 name', "k": 2}
+    yield "hand-built", RelationSystem([g1, g2, g3], rules, meta=meta)
+    yield "no-rules", RelationSystem([g1, g2], {}, meta=meta)
+
+
+@pytest.mark.parametrize("name,rel", list(_relations_documents()),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_rule_template_writes_the_bytes_of_the_indented_encoder(name, rel,
+                                                                capsys):
+    # the records written from the template, with the rest of the document
+    # through the indented encoder, are the text of json.dumps
+    note = {"note": "pairs without an explicit rule commute up to the "
+                    "graded sign"}
+    cli._emit({**rel.streamed_json_dict(), **note})
+    want = json.dumps({**rel.to_json_dict(), **note}, indent=2,
+                      sort_keys=True)
+    assert capsys.readouterr().out == want + "\n"
+
+
+def test_template_floats_are_the_floats_of_json():
+    # a rule's terms are sums from 0.0, so no signed zero reaches the
+    # template through a relation system; the leaf writer sees them here
+    big, tiny, inf = 1.7976931348623157e308, 5e-324, float("inf")
+    for x in (0.0, -0.0, tiny, -tiny, big, -big, 0.1, 1e16, 1e-7, inf,
+              -inf, float("nan")):
+        assert cli._json_float(x) == json.dumps(x), x
 
 
 def test_relations_without_rules_writes_an_empty_array(capsys):

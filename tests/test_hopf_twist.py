@@ -18,7 +18,9 @@ from ncadhm.star_algebra import (
     normal_form, star_closure_residual,
 )
 
-from monad_symmetry import WORKLOAD_MODELS, broken_rules, moved, reversals
+from monad_symmetry import (
+    WORKLOAD_MODELS, broken_rules, column_transpositions, moved, reversals,
+)
 
 HBAR, ALPHA, BETA = 0.1, 1.0, 2.0
 
@@ -517,17 +519,21 @@ def test_hopf_action_rules_are_row_and_column_blind(kind):
 PERMUTATION_MODELS = {**RELABEL_MODELS, **WORKLOAD_MODELS}
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("kind", list(PERMUTATION_MODELS))
 def test_row_and_column_permutations_map_rules_to_identities(kind, k):
-    # Reversing the rows (or the columns) of the monad letters maps every
-    # rule to an identity of the same system: the permuted pattern and the
-    # permuted right-hand side have equal normal forms.  A row reversal
-    # swaps the order of any two cells in different rows, so many permuted
-    # patterns are not rule keys.  At k=1 there is one column and the
-    # column reversal is the identity.
+    # Reversing the rows (or the columns) of the monad letters, or swapping
+    # two adjacent columns, maps every rule to an identity of the same
+    # system: the permuted pattern and the permuted right-hand side have
+    # equal normal forms.  A row reversal swaps the order of any two cells
+    # in different rows, so many permuted patterns are not rule keys.  The
+    # adjacent transpositions generate every column permutation, on which
+    # the centrality check's column orbits rest.  At k=1 there is one
+    # column and the column reversal is the identity.
     model = PERMUTATION_MODELS[kind]()
+    perms = {**reversals(k), **column_transpositions(k)}
+    assert len(perms) == k + 1
     for rel in (derive_relations(model, MONAD_M, k=k),
                 smash_relations(model, k=k)):
-        for name, perm in reversals(k).items():
+        for name, perm in perms.items():
             assert broken_rules(rel, perm, model.theta) == [], name

@@ -25,7 +25,9 @@ from ncadhm.star_algebra import (
     MONAD_M, NCPolynomial, RelationSystem, multiply, normal_form,
 )
 
-from monad_symmetry import WORKLOAD_MODELS, broken_rules, reversals
+from monad_symmetry import (
+    WORKLOAD_MODELS, broken_rules, column_transpositions, reversals,
+)
 
 
 @pytest.fixture(scope="module")
@@ -370,6 +372,26 @@ def test_reduced_centrality_check_is_not_vacuous():
     assert _reference_centrality_residual(model, row2, k) > SYMBOLIC_TOL
     assert instanton._centrality_residual(model, row2, k) <= SYMBOLIC_TOL
     assert broken_rules(row2, rows, model.theta)
+
+
+def test_reduced_centrality_check_sees_column_2():
+    # A mutant rule among the row-1 letters of column 2 fails the reduced
+    # check at k=2, and so does one between columns 1 and 2.  The adjacent
+    # column transposition keeps the unmutated system and breaks on the
+    # column-2 mutant.
+    model, k = ToricModel(0.25), 2
+    rel = smash_relations(model, k=k)
+    (swap,) = column_transpositions(k).values()
+    assert broken_rules(rel, swap, model.theta) == []
+    assert instanton._centrality_residual(model, rel, k) <= SYMBOLIC_TOL
+    for pattern in ((monad_m(3, 1, 2), monad_m(1, 1, 2)),
+                    (monad_m(3, 1, 2), monad_m(1, 1, 1))):
+        mutant = _scaled_rule(rel, pattern)
+        assert instanton._centrality_residual(model, mutant, k) > \
+            SYMBOLIC_TOL, pattern
+    assert broken_rules(_scaled_rule(rel, (monad_m(3, 1, 2),
+                                           monad_m(1, 1, 2))),
+                        swap, model.theta)
 
 
 def test_hodge_star_involution(solved_k1):

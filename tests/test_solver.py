@@ -4,8 +4,8 @@ import pytest
 from ncadhm import adhm_solver
 from ncadhm.adhm_solver import (
     LM_DAMPING, JacobianAnalysis, NoConvergence, NotASolution, SolveConfig,
-    _lm_minimize, _random_start, constraint_jacobian, gauge_distance,
-    moduli_dimension, residual_vector, solve,
+    _evaluate, _lm_minimize, _random_start, constraint_jacobian,
+    gauge_distance, moduli_dimension, residual_vector, solve,
 )
 from ncadhm.hopf_twist import ClassicalModel, MoyalModel, ToricModel
 from ncadhm.monad import ADHMData, ADHMStack, ShapeError, adhm_residual
@@ -65,7 +65,8 @@ def test_solve_config_rejects_counts_below_one(field, value):
 
 def _lm_one(k, model, start, cfg):
     """``_lm_minimize`` on a batch of one start: (final data, history)."""
-    v, _, (history,) = _lm_minimize(k, model, start[None], cfg)
+    v, _, (history,) = _lm_minimize(
+        k, model, start[None], _evaluate(k, model, start[None]), cfg)
     return ADHMData.from_parameter_vector(k, model, v[0]), history
 
 
@@ -357,7 +358,8 @@ def test_lock_step_solve_matches_one_start_at_a_time(k, model,
         starts, finals, histories, best, best_key = _solve_reference(
             k, model, cfg)
         batch_finals, _, batch_histories = _lm_minimize(
-            k, model, np.array(starts), cfg)
+            k, model, np.array(starts), _evaluate(k, model, np.array(starts)),
+            cfg)
         assert batch_histories == histories
         assert batch_finals.tobytes() == np.array(finals).tobytes()
         bits = best.parameter_vector().tobytes()
@@ -381,9 +383,9 @@ def test_batch_budget_does_not_change_the_solve(k, max_iterations,
                       tolerance=1e-12 if k == 1 else 1e-10)
     sizes = []
 
-    def spy(k, model, v, cfg):
+    def spy(k, model, v, at_v, cfg):
         sizes.append(len(v))
-        return _lm_minimize(k, model, v, cfg)
+        return _lm_minimize(k, model, v, at_v, cfg)
 
     monkeypatch.setattr(adhm_solver, "_lm_minimize", spy)
     full = _solve_bits(k, model, cfg)
@@ -404,7 +406,33 @@ def test_non_finite_trial_point_is_a_shape_error():
     v = _random_start(1, model, np.random.default_rng(0))[None] * 1e160
     with np.errstate(all="ignore"):
         with pytest.raises(ShapeError, match="^B1 has non-finite entries$"):
-            _lm_minimize(1, model, v, SolveConfig())
+            _lm_minimize(1, model, v, _evaluate(1, model, v), SolveConfig())
+
+
+def test_solve_evaluates_the_starts_of_a_batch_once(monkeypatch):
+    # the overflow check's evaluation of a batch's starts is the one its
+    # descent begins from; a budget of two starts makes three batches
+    evaluate, descend = adhm_solver._evaluate, adhm_solver._lm_minimize
+    evaluated, batches = [], []
+
+    def spy_evaluate(k, model, v):
+        evaluated.append(v.tobytes())
+        return evaluate(k, model, v)
+
+    def spy_descend(k, model, v, at_v, cfg):
+        batches.append(v.tobytes())
+        return descend(k, model, v, at_v, cfg)
+
+    k, model = 1, MoyalModel(0.2, 1.0, 0.5)
+    cfg = SolveConfig(rng_seed=70, multistarts=5)
+    full = _solve_bits(k, model, cfg)
+    monkeypatch.setattr(adhm_solver, "_evaluate", spy_evaluate)
+    monkeypatch.setattr(adhm_solver, "_lm_minimize", spy_descend)
+    monkeypatch.setattr(adhm_solver, "LM_BATCH_BYTES",
+                        2 * 8 * (4 * k * k + 8 * k) ** 2)
+    assert _solve_bits(k, model, cfg) == full
+    assert len(batches) == 3
+    assert [evaluated.count(b) for b in batches] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("hbar", [1e160, 1e300])

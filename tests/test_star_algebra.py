@@ -1,17 +1,20 @@
 import copy
 import dataclasses
+import functools
 import itertools
 import pickle
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncadhm.star_algebra import (
     Coefficient, GeneratorId, NCPolynomial, NonTerminating, RelationSystem,
-    MissingCalculus, UnknownGenerator, adjoint, differential, multiply,
-    normal_form, reduce_modulo, sum_of_products, AUX, C4, CP3, HOPF_TORUS,
-    HOPF_TRANS, MONAD_M, R4, S4, TOL, _reduce_terms,
+    MissingCalculus, UnknownGenerator, adjoint, commutator_norms,
+    differential, multiply, normal_form, reduce_modulo, sum_of_products, AUX,
+    C4, CP3, HOPF_TORUS, HOPF_TRANS, MONAD_M, R4, S4, TOL, _FREE,
+    _reduce_coded, _reduce_terms,
 )
 from ncadhm.hopf_twist import (
     ClassicalModel, MoyalModel, ToricModel, derive_relations,
@@ -614,6 +617,139 @@ def test_engine_matches_the_reference_loop(system):
     assert stepped >= 40
 
 
+def _reference_reduce_coded(terms, rel, budget):
+    """``_reduce_coded`` before swaps bubbled in place, which built a new
+    tuple for each swap and scanned on from the pair left of it, kept
+    verbatim as a reference."""
+    out = {}
+    stack = [(w, h, m, v, 0) for (w, h, m), v in terms.items()]
+    steps = 0
+    actions = rel._actions
+    n = len(rel.generators)
+    while stack:
+        w, h, m, v, i = stack.pop()
+        if abs(v) <= TOL:
+            continue
+        last = len(w) - 1
+        while i < last:
+            a = w[i]
+            b = w[i + 1]
+            act = actions[a * n + b]
+            if act is None:
+                act = rel._action(a, b)
+            if act is _FREE:
+                i += 1
+                continue
+            steps += 1
+            if steps > budget:
+                raise NonTerminating("rewrite step budget exceeded")
+            if act.__class__ is tuple:  # a rule
+                j = max(i - 1, 0)
+                for u, ch, cm, cv in act:
+                    stack.append((w[:i] + u + w[i + 2:], h + ch, m + cm,
+                                  v * cv, j))
+                break
+            v = act * v
+            w = w[:i] + (b, a) + w[i + 2:]
+            i = max(i - 1, 0)
+        else:
+            key = (w, h, m)
+            nv = out.get(key, 0.0) + v
+            if abs(nv) <= TOL:
+                out.pop(key, None)
+            else:
+                out[key] = nv
+    return out
+
+
+ENGINE_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True,
+                           database=None)
+
+
+def _in_order_rules():
+    """A hand-built system whose rules rewrite pairs in order, so a letter
+    that bubbles left can stop at a rule on its right; each rule shortens
+    the word, so every word terminates."""
+    z1, z2, z3, z4, dz1 = z(1), z(2), z(3), z(4), z(1, grade=1)
+    rules = {
+        (z1, z3): (((z2,), Coefficient(0.5)), ((), Coefficient(1j, 1))),
+        (z2, z4): (((z1,), Coefficient(-2.0, 0, 2)),),
+        (dz1, z3): (((z4,), Coefficient(0.25j)),),
+    }
+    return RelationSystem([z1, z2, z3, z4, dz1, z(1, True)], rules,
+                          theta=0.3)
+
+
+@functools.cache
+def _engine_system(name):
+    if name == "in-order-rules":
+        return _in_order_rules()
+    return _ENGINE_SYSTEMS[name]()
+
+
+@st.composite
+def coded_terms(draw, rel):
+    """One to three terms over words of 1 to 8 letter codes, half of them
+    with a grade-1 letter at both ends (if ``rel`` has one), valued by
+    signed zeros, an infinite part or small Gaussian numbers."""
+    odd = [c for c, g in enumerate(rel.generators) if g.grade]
+    values = st.sampled_from([
+        1.0 + 0j, complex(-1.0, -0.0), complex(0.0, -0.5), complex(-0.0, 2.0),
+        complex(float("inf"), 1.0)]) | st.builds(
+            complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        w = draw(st.lists(st.integers(0, len(rel.generators) - 1),
+                          min_size=1, max_size=8))
+        if odd and draw(st.booleans()):
+            c = draw(st.sampled_from(odd))
+            w = [c, *w[:6], c]
+        key = (tuple(w), draw(st.integers(0, 1)),
+               draw(st.sampled_from((-2, 0, 2))))
+        terms[key] = draw(values)
+    return terms
+
+
+def _steps(terms, rel):
+    """The rewrite steps of the reference on ``terms``: the least budget
+    at which it finishes."""
+    def finishes(budget):
+        try:
+            _reference_reduce_coded(terms, rel, budget)
+        except NonTerminating:
+            return False
+        return True
+
+    hi = 1
+    while not finishes(hi):
+        hi *= 2
+    lo = -1  # finishes(lo) is False, or lo is -1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if finishes(mid) else (mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("system", [*_ENGINE_SYSTEMS, "in-order-rules"])
+@ENGINE_SETTINGS
+@given(data=st.data())
+def test_engine_matches_the_coded_reference(system, data):
+    # the same keys in the same order, equal bit for bit (zero signs
+    # included), and NonTerminating at the same tight budget
+    rel = _engine_system(system)
+    terms = data.draw(coded_terms(rel))
+    want = _reference_reduce_coded(terms, rel, 10 ** 6)
+    got = _reduce_coded(terms, rel, 10 ** 6)
+    assert list(got) == list(want)
+    assert [_bits(v) for v in got.values()] == \
+        [_bits(v) for v in want.values()]
+    steps = _steps(terms, rel)
+    _reduce_coded(terms, rel, steps)
+    if steps:
+        with pytest.raises(NonTerminating):
+            _reduce_coded(terms, rel, steps - 1)
+
+
 def _reference_multiply(a, b, rel):
     """``multiply`` on letter words: the concatenated product summed term
     by term and reduced by ``_reference_reduce``."""
@@ -644,32 +780,50 @@ def _same_terms(got, want):
         [_bits(v) for v in want.terms.values()]
 
 
+def _random_poly(rel, rng):
+    """One to three terms over words of up to 3 letters, valued by signed
+    zeros or Gaussian numbers."""
+    gens = rel.generators
+    values = [1.0 + 0j, complex(-1.0, -0.0), complex(0.0, -0.5),
+              complex(-0.0, 2.0)]
+    terms = {}
+    for _ in range(int(rng.integers(1, 4))):
+        w = tuple(gens[i] for i in rng.integers(0, len(gens),
+                                                int(rng.integers(0, 4))))
+        h, m = int(rng.integers(0, 2)), 2 * int(rng.integers(-1, 2))
+        if rng.integers(0, 2):
+            v = complex(*rng.standard_normal(2))
+        else:
+            v = values[int(rng.integers(0, len(values)))]
+        terms[(w, h, m)] = v
+    return NCPolynomial(terms)
+
+
+@pytest.mark.parametrize("system", list(_ENGINE_SYSTEMS))
+def test_commutator_norms_match_the_decoded_difference(system):
+    # the norm of multiply(x, y) - multiply(y, x), bit for bit; y = c x
+    # makes the two products cancel to rounding, which __sub__ prunes
+    rel = _ENGINE_SYSTEMS[system]()
+    rng = np.random.default_rng(17)
+    for x in [_random_poly(rel, rng) for _ in range(3)]:
+        ys = [_random_poly(rel, rng) for _ in range(4)]
+        ys += [x, x.scale(1.0 + 2.0 ** -30), x.scale(-0.3j)]
+        want = [(multiply(x, y, rel) - multiply(y, x, rel)).eval_norm(0.3)
+                for y in ys]
+        got = commutator_norms(x, ys, rel, 0.3)
+        assert [struct.pack("<d", v) for v in got] == \
+            [struct.pack("<d", v) for v in want]
+
+
 @pytest.mark.parametrize("system", list(_ENGINE_SYSTEMS))
 def test_products_match_the_reference_on_letter_words(system):
     # multiply and PolyMatrix.matmul against products of letter words: the
     # same terms in the same order, equal bit for bit (zero signs included)
     rel = _ENGINE_SYSTEMS[system]()
-    gens = rel.generators
     rng = np.random.default_rng(11)
-    values = [1.0 + 0j, complex(-1.0, -0.0), complex(0.0, -0.5),
-              complex(-0.0, 2.0)]
-
-    def poly():
-        terms = {}
-        for _ in range(int(rng.integers(1, 4))):
-            w = tuple(gens[i] for i in rng.integers(0, len(gens),
-                                                    int(rng.integers(0, 4))))
-            h, m = int(rng.integers(0, 2)), 2 * int(rng.integers(-1, 2))
-            if rng.integers(0, 2):
-                v = complex(*rng.standard_normal(2))
-            else:
-                v = values[int(rng.integers(0, len(values)))]
-            terms[(w, h, m)] = v
-        return NCPolynomial(terms)
-
     # negated copies make entry sums cancel, so terms leave the sum and
     # come back at its end
-    pool = [poly() for _ in range(4)]
+    pool = [_random_poly(rel, rng) for _ in range(4)]
     pool += [p.scale(-1.0) for p in pool]
     for x, y in itertools.product(pool[:4], pool[2:6]):
         _same_terms(multiply(x, y, rel), _reference_multiply(x, y, rel))

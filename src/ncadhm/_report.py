@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -20,7 +20,7 @@ class Check:
 
 @dataclass
 class Report:
-    checks: list = field(default_factory=list)
+    checks: list
 
     @property
     def passed(self) -> bool:

@@ -38,7 +38,7 @@ from .monad import (
 
 
 class NoConvergence(Exception):
-    def __init__(self, message, best_residual=None, best=None):
+    def __init__(self, message, best_residual, best):
         super().__init__(message)
         self.best_residual = best_residual
         self.best = best
@@ -81,7 +81,7 @@ class JacobianAnalysis:
     framed_dimension: int
     gauge_dimension: int
     frame_rotation_rank: int
-    degenerate: bool = False
+    degenerate: bool
 
     def to_json_dict(self):
         return {"singular_values": [float(s) for s in self.singular_values],

@@ -34,7 +34,7 @@ from .instanton import (
     curvature_samples, symbolic_projector_checks,
 )
 from .monad import ADHMData, adhm_residual, build_monad, monad_residual
-from .star_algebra import C4, R4, StarAlgebraError, StreamedRules
+from .star_algebra import C4, R4, RelationSystem, StarAlgebraError
 from .twistor import j_squared_residual, verify_embeddings
 
 
@@ -46,12 +46,12 @@ def _emit(obj, path=None):
     sort_keys=True)`` and a newline, to stdout or to the --out file.
 
     The text is written while it is encoded, in writes of about
-    ``_EMIT_CHARS`` characters, so it is never held whole.  The rules of a
-    relation system (a ``StreamedRules`` value of a top-level key) are
-    written from a template by ``_rule_chunks``, and the indented encoder
-    writes the rest.  The --out file is opened only now, after the work
-    (it may be the --data file), and an error from opening or writing it
-    is a usage error.
+    ``_EMIT_CHARS`` characters, so it is never held whole.  A relation
+    system, as the value of a top-level key, stands for its "rules" array
+    (see ``RelationSystem.streamed_json_dict``): ``_rule_chunks`` writes it
+    from a template, and the indented encoder writes the rest.  The --out
+    file is opened only now, after the work (it may be the --data file),
+    and an error from opening or writing it is a usage error.
     """
     chunks = _json_chunks(obj)
     if not path:
@@ -80,15 +80,15 @@ def _json_chunks(obj):
     chunks."""
     encode = json.JSONEncoder(indent=2, sort_keys=True).iterencode
     if not (isinstance(obj, dict)
-            and any(isinstance(v, StreamedRules) for v in obj.values())):
+            and any(isinstance(v, RelationSystem) for v in obj.values())):
         yield from encode(obj)
         return
     sep = "{"
     for key, value in sorted(obj.items()):
         yield f"{sep}\n  {_json_str(key)}: "
         sep = ","
-        if isinstance(value, StreamedRules):
-            yield from _rule_chunks(value.rel)
+        if isinstance(value, RelationSystem):
+            yield from _rule_chunks(value)
         else:
             # a JSON string holds no newline, so this indents every line
             yield "".join(encode(value)).replace("\n", "\n  ")
@@ -123,9 +123,10 @@ def _rule_chunks(rel):
     """The "rules" array of ``rel``, a value at depth 1 of a document
     indented as ``_emit`` writes it, one record a chunk.
 
-    Every record has the shape of ``StreamedRules``' dicts, keys sorted, so
-    each is filled into a fixed template from the C string encoder (each
-    label encoded once) and ``_json_float``.
+    Every record has the shape of the rule dicts of
+    ``RelationSystem.to_json_dict``, keys sorted, so each is filled into a
+    fixed template from the C string encoder (each label encoded once) and
+    ``_json_float``.
     """
     if not rel.rules:
         yield "[]"
@@ -319,7 +320,10 @@ def cmd_charge(args) -> int:
 
 def cmd_moduli_dim(args) -> int:
     data = _load_data(args.data)
-    ja = moduli_dimension(data)
+    try:
+        ja = moduli_dimension(data)
+    except NotASolution as exc:
+        raise ValueError(f"argument --data: not a solution: {exc}") from exc
     out = ja.to_json_dict()
     out["unframed_dimension"] = ja.framed_dimension - ja.frame_rotation_rank
     _emit(out, args.out)
@@ -417,8 +421,8 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (StarAlgebraError, NotASolution, SingularRho, FileNotFoundError,
-            KeyError, ValueError) as exc:
+    except (StarAlgebraError, SingularRho, FileNotFoundError, KeyError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -246,7 +246,7 @@ def _checked_rho2(s1, where):
     return rho2
 
 
-def finite_difference_curvature(data: ADHMData, x: PointR4, step=1e-5):
+def finite_difference_curvature(data: ADHMData, x: PointR4, step):
     """Central-difference curvature from projector samples, for cross-checks."""
     _require_classical(data)
     m = build_monad(data)
@@ -277,7 +277,7 @@ def finite_difference_curvature(data: ADHMData, x: PointR4, step=1e-5):
 
 @dataclass
 class QuadratureSpec:
-    resolution: int = 12
+    resolution: int
 
     def node_counts(self):
         """Radial, two polar and periodic node counts, within the budget."""
@@ -302,14 +302,13 @@ def _density_of(F):
     return np.real(t) / (4 * np.pi ** 2)
 
 
-def charge(data: ADHMData, quad: QuadratureSpec | None = None) -> float:
+def charge(data: ADHMData, quad: QuadratureSpec) -> float:
     """Quadrature of the charge density over the plane.
 
     Product rule: mapped Gauss-Legendre radially, Gauss-Legendre in the two
     polar angles of the three-sphere, trapezoid in the periodic angle.
     """
     _require_classical(data)
-    quad = quad or QuadratureSpec()
     n_r, n_t1, n_t2, n_p = quad.node_counts()
     scale = _charge_scale(data)
 
@@ -368,8 +367,13 @@ def symbolic_projector_checks(data: ADHMData) -> Report:
     theta = model.theta
     tol = SYMBOLIC_TOL
     m = build_monad(data)
-    # one smash system with the monad letters serves all four checks
+    # one smash system with the monad letters serves all four checks; at
+    # index one it also holds the formal inverse of rho2, which has no rule:
+    # it is central and sorts first, so other normal forms stay as they are
     rel = smash_relations(model, k=data.k)
+    if data.k == 1:
+        rel = RelationSystem(rel.generators + (RHO2_INV,), rel.rules,
+                             theta=rel.theta, meta=rel.meta)
     sigma, tau = bosonise_monad(m, model, rel)
     sigma_j = bosonise_j_map(m, model, rel)
 
@@ -454,47 +458,43 @@ def _projector_idempotency_residual(sigma, sigma_j, rho2_mat, rel, theta):
     an identity of word arithmetic that is asserted structurally; the first
     piece vanishes on evaluation by the orthogonality and polarisation
     identities, the second reduces to zero by the defining relation of the
-    formal inverse.
+    formal inverse.  ``rel`` is the smash system of the other checks, with
+    the formal inverse ``RHO2_INV`` among its letters.
     """
     rho2 = rho2_mat.entries[0][0]
-    gens = list(rel.generators) + [RHO2_INV]
-    rel2 = RelationSystem(gens, dict(rel.rules), theta=rel.theta,
-                          meta=rel.meta)
     rinv = NCPolynomial.from_word((RHO2_INV,))
 
     def left(c, M):
-        return M.map(lambda p: multiply(c, p, rel2))
+        return M.map(lambda p: multiply(c, p, rel))
 
     V = PolyMatrix([[sigma.entries[a][0], sigma_j.entries[a][0]]
                     for a in range(sigma.shape[0])])
-    Vd = V.adjoint(rel2)
-    Q = V.matmul(left(rinv, Vd), rel2)
-    E1 = Q.matmul(Q, rel2) - Q
+    Vd = V.adjoint(rel)
+    Q = V.matmul(left(rinv, Vd), rel)
+    E1 = Q.matmul(Q, rel) - Q
 
     zero = NCPolynomial.zero()
-    D = (Vd.matmul(V, rel2) - PolyMatrix([[rho2, zero], [zero, rho2]])).map(
-        lambda p: normal_form(p, rel2))
-    core = D.map(lambda p: multiply(rinv, multiply(p, rinv, rel2), rel2))
+    D = (Vd.matmul(V, rel) - PolyMatrix([[rho2, zero], [zero, rho2]])).map(
+        lambda p: normal_form(p, rel))
+    core = D.map(lambda p: multiply(rinv, multiply(p, rinv, rel), rel))
     # sum over the (b, c) pairs in this order of V_ab (core_bc V+_c), as one
     # n x 4 by 4 x n product: grouped as V (core V+) it rounds differently
     pairs = [(b, c) for b in range(2) for c in range(2)]
     v_pairs = PolyMatrix([[row[b] for b, _ in pairs] for row in V.entries])
-    core_vd = PolyMatrix([[multiply(core.entries[b][c], p, rel2)
+    core_vd = PolyMatrix([[multiply(core.entries[b][c], p, rel)
                            for p in Vd.entries[c]] for b, c in pairs])
-    sandwich = v_pairs.matmul(core_vd, rel2)
+    sandwich = v_pairs.matmul(core_vd, rel)
 
-    X = multiply(rinv, multiply(rho2, rinv, rel2), rel2) - rinv
-    inner = V.matmul(left(X, Vd), rel2)
+    X = multiply(rinv, multiply(rho2, rinv, rel), rel) - rinv
+    inner = V.matmul(left(X, Vd), rel)
 
-    # structural identity: raw coefficients, no parameter evaluation
+    # structural identity: raw coefficients, no parameter evaluation; the
+    # entries are sums of normal forms, so normal already
     struct = 0.0
-    decomp = E1 - sandwich - inner
-    for row in decomp.entries:
+    for row in (E1 - sandwich - inner).entries:
         for p in row:
-            q = normal_form(p, rel2)
-            struct = max(struct, max((abs(v) for v in q.terms.values()),
-                                     default=0.0))
+            struct = max(struct, max(map(abs, p.terms.values()), default=0.0))
 
-    x_red = reduce_modulo(X, rel2, [multiply(rinv, rho2, rel2)
+    x_red = reduce_modulo(X, rel, [multiply(rinv, rho2, rel)
                                     - NCPolynomial.one()])
     return max(struct, sandwich.eval_max_norm(theta), x_red.eval_norm(theta))

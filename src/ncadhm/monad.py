@@ -22,8 +22,8 @@ from .hopf_twist import (
     smash_relations, z,
 )
 from .star_algebra import (
-    NCPolynomial, StarAlgebraError, adjoint, multiply, normal_form,
-    sum_of_products,
+    NCPolynomial, StarAlgebraError, adjoint, commutator_norms, multiply,
+    normal_form, sum_of_products,
 )
 
 
@@ -382,10 +382,9 @@ def tilde_subalgebra_check(model: TwistModel) -> Report:
     worst_comm = 0.0
     keys = sorted(tilde)
     for i, ka in enumerate(keys):
-        for kb in keys[:i]:
-            a, b = tilde[ka], tilde[kb]
-            comm = multiply(a, b, rel) - multiply(b, a, rel)
-            worst_comm = max(worst_comm, comm.eval_norm(theta))
+        for r in commutator_norms(tilde[ka], [tilde[kb] for kb in keys[:i]],
+                                  rel, theta):
+            worst_comm = max(worst_comm, r)
     checks = [Check("tilde_commutativity", worst_comm <= SYMBOLIC_TOL,
                     worst_comm, SYMBOLIC_TOL)]
 

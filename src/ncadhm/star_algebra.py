@@ -458,15 +458,18 @@ class RelationSystem:
 
     def to_json_dict(self) -> dict:
         out = self.streamed_json_dict()
-        out["rules"] = list(out["rules"])
+        out["rules"] = [{"pattern": [g.label() for g in pattern],
+                         "rhs": rhs.to_json_dict()}
+                        for pattern, rhs in self.rule_records()]
         return out
 
     def streamed_json_dict(self) -> dict:
-        """``to_json_dict()`` with its rules built one at a time as they
-        are written, so the whole rule tree is never held."""
+        """``to_json_dict()`` with the system itself under "rules", which
+        the CLI writes one rule at a time, so the whole rule tree is never
+        held."""
         return {
             "generators": [g.label() for g in self.generators],
-            "rules": StreamedRules(self),
+            "rules": self,
             "meta": {k: v for k, v in sorted(self.meta.items())},
         }
 
@@ -478,26 +481,6 @@ class RelationSystem:
             for w, c in self.rules[pattern]:
                 rhs._accum((tuple(w), c.hbar, c.mu2), c.value)
             yield pattern, rhs
-
-
-class StreamedRules(list):
-    """The rule dicts of the relation system ``rel``, in pattern order,
-    made when they are iterated and kept by no one.
-
-    A list subclass so that ``json`` encodes it as an array; both of its
-    encoders read a list subclass through ``__len__`` and ``__iter__``.
-    """
-
-    def __init__(self, rel: RelationSystem):
-        self.rel = rel
-
-    def __len__(self):
-        return len(self.rel.rules)
-
-    def __iter__(self):
-        for pattern, rhs in self.rel.rule_records():
-            yield {"pattern": [g.label() for g in pattern],
-                   "rhs": rhs.to_json_dict()}
 
 
 # -- normal-ordering engine -----------------------------------------------
@@ -806,8 +789,7 @@ def _random_poly(rel, rng):
     return p
 
 
-def associativity_residual(rel: RelationSystem, rng,
-                           trials: int = 10) -> float:
+def associativity_residual(rel: RelationSystem, rng, trials: int) -> float:
     """Largest associativity defect over random triples; the confluence probe."""
     worst = 0.0
     for _ in range(trials):
@@ -820,8 +802,7 @@ def associativity_residual(rel: RelationSystem, rng,
     return worst
 
 
-def star_closure_residual(rel: RelationSystem, rng,
-                          trials: int = 10) -> float:
+def star_closure_residual(rel: RelationSystem, rng, trials: int) -> float:
     """Largest defect of adjoint(ab) = adjoint(b) adjoint(a) over samples."""
     worst = 0.0
     for _ in range(trials):

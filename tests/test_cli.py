@@ -540,6 +540,43 @@ def test_verify_monad_full_derives_the_coordinate_rules_once(
     assert len(coordinate_calls) == 1
 
 
+@pytest.mark.parametrize("model", list(GOLDEN_VERIFY_DIGESTS))
+def test_verify_monad_full_fills_one_action_table(model, tmp_path, capsys,
+                                                  monkeypatch):
+    # the four symbolic checks, the formal inverse of rho2 included, run in
+    # one relation system, so the engine's table of pair actions is filled
+    # once
+    from ncadhm.star_algebra import RelationSystem
+
+    path = tmp_path / "sol.json"
+    _golden_solve(model, 1, path)
+    action = RelationSystem._action
+    systems = {}  # kept alive, so no id is reused
+
+    def spy(rel, a, b):
+        systems[id(rel)] = rel
+        return action(rel, a, b)
+
+    monkeypatch.setattr(RelationSystem, "_action", spy)
+    assert run(["verify-monad", "--data", str(path), "--full"]) == 0
+    assert len(systems) == 1
+
+
+def test_moduli_dim_of_data_that_is_no_solution_is_a_usage_error(
+        tmp_path, capsys):
+    path = tmp_path / "sol.json"
+    _golden_solve("moyal", 1, path)
+    doc = json.loads(path.read_text())
+    doc["I"][0][0][0] += 1e-3
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["moduli-dim", "--data", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: argument --data: not a solution: residual ")
+
+
 def _data_with(**changes):
     obj = ADHMData.zero(1, ClassicalModel()).to_json_dict()
     obj.update(changes)

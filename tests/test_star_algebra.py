@@ -23,6 +23,7 @@ from ncadhm.hopf_twist import (
 from ncadhm.instanton import RHO2_INV
 from ncadhm.monad import (
     ADHMData, PolyMatrix, adhm_residual, bosonise_monad, build_monad,
+    tilde_generator_polys,
 )
 
 HBAR, ALPHA, BETA = 0.1, 1.0, 2.0
@@ -799,15 +800,30 @@ def _random_poly(rel, rng):
     return NCPolynomial(terms)
 
 
-@pytest.mark.parametrize("system", list(_ENGINE_SYSTEMS))
+# The tilde generators of each model, whose commutators
+# monad.tilde_subalgebra_check takes.
+_TILDE_MODELS = {"tilde-moyal": MoyalModel(HBAR, ALPHA, BETA),
+                 "tilde-toric": ToricModel(0.3),
+                 "tilde-classical": ClassicalModel()}
+
+
+@pytest.mark.parametrize("system", list(_ENGINE_SYSTEMS) + list(_TILDE_MODELS))
 def test_commutator_norms_match_the_decoded_difference(system):
     # the norm of multiply(x, y) - multiply(y, x), bit for bit; y = c x
-    # makes the two products cancel to rounding, which __sub__ prunes
-    rel = _ENGINE_SYSTEMS[system]()
-    rng = np.random.default_rng(17)
-    for x in [_random_poly(rel, rng) for _ in range(3)]:
-        ys = [_random_poly(rel, rng) for _ in range(4)]
-        ys += [x, x.scale(1.0 + 2.0 ** -30), x.scale(-0.3j)]
+    # makes the two products cancel to rounding, which __sub__ prunes.  The
+    # tilde generators meet those before them, as tilde_subalgebra_check
+    # takes them.
+    if system in _TILDE_MODELS:
+        tilde, rel = tilde_generator_polys(_TILDE_MODELS[system])
+        polys = [tilde[key] for key in sorted(tilde)]
+        inputs = [(x, polys[:i]) for i, x in enumerate(polys)]
+    else:
+        rel = _ENGINE_SYSTEMS[system]()
+        rng = np.random.default_rng(17)
+        inputs = [(x, [_random_poly(rel, rng) for _ in range(4)]
+                   + [x, x.scale(1.0 + 2.0 ** -30), x.scale(-0.3j)])
+                  for x in [_random_poly(rel, rng) for _ in range(3)]]
+    for x, ys in inputs:
         want = [(multiply(x, y, rel) - multiply(y, x, rel)).eval_norm(0.3)
                 for y in ys]
         got = commutator_norms(x, ys, rel, 0.3)

@@ -13,10 +13,12 @@ translation coaction in ``_MOYAL_COACTION`` and the torus weights in
 the smash products are ``TRANS_LETTERS`` and ``TORUS_LETTERS``.
 
 A model is immutable after construction: its parameters never change, and
-it expands each letter's coaction once, on first use, into legs that every
-later call shares.  A relation derivation likewise derives the rule of two
-monad letter families once per cell relation, relabels it onto every pair
-of cells, and evaluates each deformed word once.
+it expands each letter's coaction, each word's coaction and each cocycle
+value once, on first use, into values that every later call shares.  A
+relation derivation likewise derives the rule of two monad letter families
+once per cell relation, relabels it onto every pair of cells, and
+evaluates each deformed word once.  A smash system derives the rule of a
+pair when its rewrite engine first meets the pair.
 
 The sign of the torus cocycle is the convention under which the phase
 matrix of the deformed coordinates comes out with
@@ -29,6 +31,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections import ChainMap
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,8 +192,11 @@ class TwistModel:
     kind = "classical"
 
     def __init__(self):
-        # letter -> its coaction legs, expanded on first use
+        # letter -> its coaction legs, word -> its coaction branches and
+        # (h, g) -> F(h, g), each expanded on first use
         self._legs = {}
+        self._words = {}
+        self._cocycles = {}
 
     @property
     def theta(self):
@@ -231,6 +238,13 @@ class TwistModel:
 
     # cocycle ----------------------------------------------------------------
     def cocycle(self, h, g) -> Coefficient:
+        """F(h, g), evaluated once per model and pair of monomials."""
+        f = self._cocycles.get((h, g))
+        if f is None:
+            f = self._cocycles[h, g] = self._cocycle(h, g)
+        return f
+
+    def _cocycle(self, h, g) -> Coefficient:
         raise NotImplementedError
 
     def cocycle_inv(self, h, g) -> Coefficient:
@@ -275,10 +289,10 @@ class ClassicalModel(TwistModel):
     def _expand_coaction(self, g: GeneratorId):
         return ((1.0, TRANS_UNIT, g),)
 
-    def cocycle(self, h, g) -> Coefficient:
+    def _cocycle(self, h, g) -> Coefficient:
         return Coefficient(self.counit(h) * self.counit(g))
 
-    cocycle_inv = cocycle
+    cocycle_inv = _cocycle
 
 
 class MoyalModel(TwistModel):
@@ -358,7 +372,7 @@ class MoyalModel(TwistModel):
         v *= (sign * self._f[(T2S.exps, T2.exps)]) ** d
         return Coefficient(v, hbar=h.degree())
 
-    def cocycle(self, h, g) -> Coefficient:
+    def _cocycle(self, h, g) -> Coefficient:
         return self._pairing(h, g, +1)
 
     def cocycle_inv(self, h, g) -> Coefficient:
@@ -429,7 +443,7 @@ class ToricModel(TwistModel):
         (m, n), (mp, np_) = h.exps, g.exps
         return m * np_ - n * mp
 
-    def cocycle(self, h, g) -> Coefficient:
+    def _cocycle(self, h, g) -> Coefficient:
         if not isinstance(h, TorusMonomial) or not isinstance(g, TorusMonomial):
             raise ModelMismatch("toric cocycle needs torus monomials")
         # at theta = 0 the phase mu degenerates to 1 and the formal power
@@ -626,9 +640,14 @@ def crossed_module_residual(model: TwistModel, h, g: GeneratorId) -> float:
 def _word_coaction(model: TwistModel, word):
     """Expand the tensor coaction of a classical word.
 
-    Yields ``(coeff, HopfMonomial, residual_word)`` branches; unit legs of
-    the coaction simply drop out of the residual word.
+    Returns a tuple of ``(coeff, HopfMonomial, residual_word)`` branches;
+    unit legs of the coaction simply drop out of the residual word.  The
+    branches of each word are expanded once per model, like the legs of a
+    letter, and shared by every later call.
     """
+    branches = model._words.get(word)
+    if branches is not None:
+        return branches
     branches = [(1.0, model.hopf_unit(), ())]
     for g in word:
         new = []
@@ -638,6 +657,7 @@ def _word_coaction(model: TwistModel, word):
                 nw = w0 if x is None else w0 + (x,)
                 new.append((c0 * c, h0 * h, nw))
         branches = new
+    branches = model._words[word] = tuple(branches)
     return branches
 
 
@@ -749,9 +769,15 @@ def _derived_rule(model, g, h, twisted):
     return tuple(express_in_deformed_basis(model, x, twisted))
 
 
-def _pair_rules(model, gens):
+class _PairRules(Mapping):
     """Derived rules of every pair in ``gens`` that is not a default
     transposition, keyed by the (later, earlier) letter pair.
+
+    A read-only mapping that derives the rule of a pair when the pair is
+    first looked up, so a rewrite engine pays only for the pairs its words
+    reach.  Iterating or sizing it derives every pair and yields the keys
+    pair by pair, each later letter of ``gens`` in sort order with every
+    earlier one.
 
     The rule of a pair is derived once per class and relabelled onto the
     other pairs of its class.  The class of (g, h) is the two letters with
@@ -765,49 +791,97 @@ def _pair_rules(model, gens):
     g's cell or in h's.  ``sort_key`` orders space and index before the
     cell, so the cell relation fixes the deglex order of these letters.
     Every sort and every sum of the derivation then runs in the same order,
-    and the relabelled rule keeps the class rule's coefficients.  Letters
-    without a cell (C4, R4) all sit in cell (0, 0): their class is the
-    pair itself, and the relabelling is the identity.
+    and the relabelled rule keeps the class rule's coefficients, whichever
+    pair of the class is derived first.  Letters without a cell (C4, R4)
+    all sit in cell (0, 0): their class is the pair itself, and the
+    relabelling is the identity.
     """
-    if not gens:
-        return {}
-    gens = sorted(gens, key=lambda g: g.sort_key)
-    cells = sorted({(g.row, g.col) for g in gens})
-    first, second = cells[0], cells[1 % len(cells)]  # one cell: both it
-    moved = {}  # (letter, cell) -> the letter in that cell
 
-    def move(x, cell):
-        y = moved.get((x, cell))
+    def __init__(self, model, gens):
+        self._model = model
+        self._gens = sorted(gens, key=lambda g: g.sort_key)
+        self._letters = frozenset(gens)
+        cells = sorted({(g.row, g.col) for g in gens})
+        # the cells each class is derived on; with one cell both are it
+        self._cells = (cells[0], cells[1 % len(cells)]) if cells else None
+        self._moved = {}    # (letter, cell) -> the letter in that cell
+        self._classes = {}  # representative pair -> its rule, None if default
+        self._twisted = {}  # each deformed word evaluated once for all classes
+        # pair -> its rule, None if default, as met; once complete, every
+        # rule in key order and no default
+        self._rules = {}
+        self._complete = False
+
+    def _move(self, x, cell):
+        y = self._moved.get((x, cell))
         if y is None:
-            y = moved[x, cell] = x if (x.row, x.col) == cell else GeneratorId(
-                x.space, x.index, x.conjugated, x.grade, *cell)
+            y = self._moved[x, cell] = x if (x.row, x.col) == cell else \
+                GeneratorId(x.space, x.index, x.conjugated, x.grade, *cell)
         return y
 
-    classes = {}  # representative pair -> its rule, None if the default
-    rules = {}
-    twisted = {}  # each deformed word evaluated once for all classes
-    for i, g in enumerate(gens):
-        gc = (g.row, g.col)
-        for h in gens[:i + 1]:
-            if g == h and g.grade == 0:
-                continue
-            hc = (h.row, h.col)
-            rc = ((first, first) if gc == hc else
-                  (second, first) if gc > hc else (first, second))
-            rep = (move(g, rc[0]), move(h, rc[1]))
-            if rep not in classes:
-                rhs = _derived_rule(model, *rep, twisted)
-                classes[rep] = None if _is_default_rule(*rep, rhs) else rhs
-            rhs = classes[rep]
-            if rhs is None:
-                continue
-            if rc != (gc, hc):
-                to_pair = {rc[0]: gc, rc[1]: hc}
-                rhs = tuple(
-                    (tuple(move(x, to_pair[x.row, x.col]) for x in w), c)
-                    for w, c in rhs)
-            rules[(g, h)] = rhs
-    return rules
+    def get(self, pair, default=None):
+        # Mapping.get and __contains__ would catch a KeyError raised inside
+        # a derivation and take the pair for one without a rule
+        rhs = self._rules.get(pair, False)
+        if rhs is False:
+            g, h = pair
+            if self._complete or g not in self._letters or \
+                    h not in self._letters or not (
+                        h.sort_key < g.sort_key or (g == h and g.grade)):
+                return default
+            rhs = self._rules[pair] = self._derive(g, h)
+        return default if rhs is None else rhs
+
+    def __getitem__(self, pair):
+        rhs = self.get(pair)
+        if rhs is None:
+            raise KeyError(pair)
+        return rhs
+
+    def __contains__(self, pair):
+        return self.get(pair) is not None
+
+    def _derive(self, g, h):
+        first, second = self._cells
+        gc, hc = (g.row, g.col), (h.row, h.col)
+        rc = ((first, first) if gc == hc else
+              (second, first) if gc > hc else (first, second))
+        rep = (self._move(g, rc[0]), self._move(h, rc[1]))
+        if rep not in self._classes:
+            rhs = _derived_rule(self._model, *rep, self._twisted)
+            self._classes[rep] = None if _is_default_rule(*rep, rhs) else rhs
+        rhs = self._classes[rep]
+        if rhs is not None and rc != (gc, hc):
+            to_pair = {rc[0]: gc, rc[1]: hc}
+            rhs = tuple(
+                (tuple(self._move(x, to_pair[x.row, x.col]) for x in w), c)
+                for w, c in rhs)
+        return rhs
+
+    def _complete_rules(self):
+        """Every rule, derived in key order on the first call."""
+        if not self._complete:
+            gens, rules = self._gens, {}
+            for i, g in enumerate(gens):
+                for h in gens[:i + 1]:
+                    if g != h or g.grade:
+                        rhs = self._derive(g, h)
+                        if rhs is not None:
+                            rules[g, h] = rhs
+            self._rules, self._complete = rules, True
+        return self._rules
+
+    def __iter__(self):
+        return iter(self._complete_rules())
+
+    def __len__(self):
+        return len(self._complete_rules())
+
+
+def _pair_rules(model, gens):
+    """The read-only mapping of the derived rules of the pairs of ``gens``,
+    each derived when first looked up (see :class:`_PairRules`)."""
+    return _PairRules(model, gens)
 
 
 def derive_relations(model: TwistModel, space, k=1,
@@ -822,7 +896,9 @@ def derive_relations(model: TwistModel, space, k=1,
     gens = set()
     for s in spaces:
         gens.update(model.generators(s, k=k, calculus=calculus))
-    rel = RelationSystem(gens, _pair_rules(model, gens), theta=model.theta,
+    # every rule is derived here, before the probe and before any output
+    rel = RelationSystem(gens, dict(_pair_rules(model, gens)),
+                         theta=model.theta,
                          meta={"model": model.kind, "space": "+".join(spaces)})
     _validate(rel)
     return rel
@@ -857,13 +933,17 @@ def smash_relations(model: TwistModel, k=1,
     with both, as in the bosonised picture.  Unlisted pairs commute.  The
     bosonised monad maps with numeric entries live here, with or without
     the monad letters.
+
+    The rules are the monad rules, then the coordinate rules, then the Hopf
+    rules, chained into one mapping that the system only reads.  The monad
+    and coordinate rules are derived as the engine meets their pairs; the
+    Hopf rules are built here.
     """
     hopf = list(model.hopf_letters())
     mon = list(model.generators(MONAD_M, k=k)) if include_monad else []
     coords = list(model.generators(C4, calculus=False))
     gens = mon + coords + hopf
-    rules = _pair_rules(model, mon)
-    rules.update(_pair_rules(model, coords))
+    rules = {}
 
     # Torus letters contract against their inverses; everything else commutes.
     for a in hopf:
@@ -893,5 +973,9 @@ def smash_relations(model: TwistModel, k=1,
                 if c.mu2 or abs(c.value - 1.0) > 1e-14:
                     rules[(hg, a)] = (((a, hg), c),)
 
-    return RelationSystem(gens, rules, theta=model.theta,
-                          meta={"model": model.kind, "space": "smash", "k": k})
+    # a ChainMap iterates its maps from the last: monad, coordinate, Hopf
+    return RelationSystem(
+        gens, ChainMap(rules, _pair_rules(model, coords),
+                       _pair_rules(model, mon)),
+        theta=model.theta,
+        meta={"model": model.kind, "space": "smash", "k": k})

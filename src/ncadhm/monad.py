@@ -25,6 +25,7 @@ from .star_algebra import (
     NCPolynomial, StarAlgebraError, adjoint, commutator_norms, multiply,
     normal_form, sum_of_products,
 )
+from .twistor import j_image
 
 
 class ShapeError(StarAlgebraError):
@@ -283,11 +284,8 @@ class PolyMatrix:
 
 # -- bosonised monad maps ---------------------------------------------------------
 
-# The signed coordinate letters of sigma and of its quaternionic partner,
-# J(z_1..z_4) = (-z2*, z1*, -z4*, z3*).
+# The signed coordinate letters of sigma.
 _Z_LETTERS = tuple((1.0, z(j)) for j in range(1, 5))
-_J_LETTERS = ((-1.0, z(2, True)), (1.0, z(1, True)),
-              (-1.0, z(4, True)), (1.0, z(3, True)))
 
 
 def bosonise_monad(m: MonadMatrices, model: TwistModel, rel,
@@ -328,9 +326,11 @@ def bosonise_j_map(m: MonadMatrices, model: TwistModel, rel):
 
     ``rel`` is the smash system given to :func:`bosonise_monad`.  For
     self-conjugate data this map coincides with the adjoint of the
-    bosonised tau map.
+    bosonised tau map.  Its signed letters J(z_1..z_4) are read from the
+    quaternionic structure of :mod:`twistor`.
     """
-    return _dressed_map(m.M, model, _J_LETTERS, True, rel)
+    letters = tuple(j_image(z(j)) for j in range(1, 5))
+    return _dressed_map(m.M, model, letters, True, rel)
 
 
 def monad_residual(m: MonadMatrices, model: TwistModel) -> PolyMatrix:

@@ -386,13 +386,16 @@ def classical_product(a: NCPolynomial, b: NCPolynomial) -> NCPolynomial:
 class RelationSystem:
     """Terminating rewrite rules for one deformed algebra.
 
-    ``rules`` maps an adjacent letter pair to a tuple of
-    ``(word, Coefficient)`` replacement terms; pairs without a rule commute
-    up to the Koszul sign.  ``star_table`` maps each generator to its
-    adjoint image (identity entries encode self-adjoint generators); the
-    image of a generator must be a generator.  ``theta`` is kept for
-    numeric evaluation of mu-powers.  ``rules`` must not change after the
-    system is first used: the engine reads the rule of a pair once.
+    ``rules`` is a read-only mapping from an adjacent letter pair to a
+    tuple of ``(word, Coefficient)`` replacement terms; pairs without a
+    rule commute up to the Koszul sign.  The system keeps the mapping it is
+    given, not a copy, so a mapping that derives each rule on lookup (see
+    ``hopf_twist.smash_relations``) is asked only for the pairs that words
+    reach.  ``rules`` must not change after the system is first used: the
+    engine reads the rule of a pair once, with ``rules.get``.
+    ``star_table`` maps each generator to its adjoint image (identity
+    entries encode self-adjoint generators); the image of a generator must
+    be a generator.  ``theta`` is kept for numeric evaluation of mu-powers.
     """
 
     def __init__(self, generators, rules, star_table=None, theta=None,
@@ -400,7 +403,7 @@ class RelationSystem:
         self.generator_set = frozenset(generators)
         self.generators = tuple(sorted(self.generator_set,
                                        key=lambda g: g.sort_key))
-        self.rules = dict(rules)
+        self.rules = rules
         table = {}
         for g in self.generators:
             table[g] = g.star() if g.star() in self.generator_set else g
@@ -683,6 +686,11 @@ def _coded_terms(p: NCPolynomial, rel: RelationSystem):
     return [(rel._encode(w), h, m, v) for (w, h, m), v in p.terms.items()]
 
 
+def _term_list(terms):
+    """A term dict over coded words as a coded term list, in its order."""
+    return [(w, h, m, v) for (w, h, m), v in terms.items()]
+
+
 def _coded_product(coded_a, coded_b, rel: RelationSystem):
     """The reduced product of two coded term lists, as a term dict over
     coded words."""
@@ -717,42 +725,59 @@ def sum_of_products(pairs, rel: RelationSystem) -> NCPolynomial:
     return NCPolynomial(rel._decode(acc))
 
 
+def _difference_norm(p, q, theta: float | None) -> float:
+    """``(P - Q).eval_norm(theta)`` for the term dicts ``p`` and ``q`` of
+    P and Q over coded words; ``p`` becomes the difference.
+
+    The difference keeps the order, the ``+ -v`` and the TOL pruning of
+    ``NCPolynomial.__sub__``, and the evaluation groups terms by coded
+    word as ``eval_norm`` groups them by word, so no term is decoded and
+    the norm has the same bits.
+    """
+    for key, v in q.items():
+        nv = p.get(key, 0.0) + -v
+        if abs(nv) <= TOL:
+            p.pop(key, None)
+        else:
+            p[key] = nv
+    return NCPolynomial(p).eval_norm(theta)
+
+
 def commutator_norms(x: NCPolynomial, ys, rel: RelationSystem,
                      theta: float | None) -> list:
     """``(multiply(x, y, rel) - multiply(y, x, rel)).eval_norm(theta)`` for
     each ``y`` of ``ys``, in order and with the same bits.
 
     ``x`` is coded once, and both products are formed and subtracted over
-    coded words, so no product is decoded: the difference keeps the order,
-    the ``+ -v`` and the TOL pruning of ``NCPolynomial.__sub__``, and the
-    evaluation groups terms by word as ``eval_norm`` does.
+    coded words by :func:`_difference_norm`, so no product is decoded.
     """
     cx = _coded_terms(x, rel)
     norms = []
     for y in ys:
         cy = _coded_terms(y, rel)
-        diff = _coded_product(cx, cy, rel)
-        for key, v in _coded_product(cy, cx, rel).items():
-            nv = diff.get(key, 0.0) + -v
-            if abs(nv) <= TOL:
-                diff.pop(key, None)
-            else:
-                diff[key] = nv
-        norms.append(NCPolynomial(diff).eval_norm(theta))
+        norms.append(_difference_norm(_coded_product(cx, cy, rel),
+                                      _coded_product(cy, cx, rel), theta))
     return norms
+
+
+def _coded_adjoint(coded, rel: RelationSystem):
+    """:func:`adjoint` of a coded term list, as a term dict over coded
+    words."""
+    star = rel._star_codes
+    out = {}
+    for w, h, m, v in coded:
+        sw = tuple([star[x] for x in reversed(w)])
+        c = Coefficient(v, h, m).conj()
+        key = (sw, c.hbar, c.mu2)
+        out[key] = out.get(key, 0.0) + c.value
+    return _reduce_coded(out, rel, STEP_BUDGET)
 
 
 def adjoint(p: NCPolynomial, rel: RelationSystem) -> NCPolynomial:
     """Anti-multiplicative involution; coefficients conjugated (anti-real
     hbar, negated mu-power), result in normal form."""
-    star = rel._star_codes
-    out = {}
-    for w, h, m, v in _coded_terms(p, rel):
-        sw = tuple([star[x] for x in reversed(w)])
-        c = Coefficient(v, h, m).conj()
-        key = (sw, c.hbar, c.mu2)
-        out[key] = out.get(key, 0.0) + c.value
-    return NCPolynomial(rel._decode(_reduce_coded(out, rel, STEP_BUDGET)))
+    return NCPolynomial(rel._decode(_coded_adjoint(_coded_terms(p, rel),
+                                                   rel)))
 
 
 def differential(p: NCPolynomial, rel: RelationSystem) -> NCPolynomial:
@@ -790,25 +815,32 @@ def _random_poly(rel, rng):
 
 
 def associativity_residual(rel: RelationSystem, rng, trials: int) -> float:
-    """Largest associativity defect over random triples; the confluence probe."""
+    """Largest associativity defect over random triples; the confluence probe.
+
+    Each defect is ``((ab)c - a(bc)).eval_norm(rel.theta)`` with the bits
+    of ``multiply``, formed and subtracted over coded words.
+    """
     worst = 0.0
     for _ in range(trials):
-        a = _random_poly(rel, rng)
-        b = _random_poly(rel, rng)
-        c = _random_poly(rel, rng)
-        lhs = multiply(multiply(a, b, rel), c, rel)
-        rhs = multiply(a, multiply(b, c, rel), rel)
-        worst = max(worst, (lhs - rhs).eval_norm(rel.theta))
+        a = _coded_terms(_random_poly(rel, rng), rel)
+        b = _coded_terms(_random_poly(rel, rng), rel)
+        c = _coded_terms(_random_poly(rel, rng), rel)
+        lhs = _coded_product(_term_list(_coded_product(a, b, rel)), c, rel)
+        rhs = _coded_product(a, _term_list(_coded_product(b, c, rel)), rel)
+        worst = max(worst, _difference_norm(lhs, rhs, rel.theta))
     return worst
 
 
 def star_closure_residual(rel: RelationSystem, rng, trials: int) -> float:
-    """Largest defect of adjoint(ab) = adjoint(b) adjoint(a) over samples."""
+    """Largest defect of adjoint(ab) = adjoint(b) adjoint(a) over samples,
+    with the bits of ``multiply`` and ``adjoint``, formed and subtracted
+    over coded words."""
     worst = 0.0
     for _ in range(trials):
-        a = _random_poly(rel, rng)
-        b = _random_poly(rel, rng)
-        lhs = adjoint(multiply(a, b, rel), rel)
-        rhs = multiply(adjoint(b, rel), adjoint(a, rel), rel)
-        worst = max(worst, (lhs - rhs).eval_norm(rel.theta))
+        a = _coded_terms(_random_poly(rel, rng), rel)
+        b = _coded_terms(_random_poly(rel, rng), rel)
+        lhs = _coded_adjoint(_term_list(_coded_product(a, b, rel)), rel)
+        rhs = _coded_product(_term_list(_coded_adjoint(b, rel)),
+                             _term_list(_coded_adjoint(a, rel)), rel)
+        worst = max(worst, _difference_norm(lhs, rhs, rel.theta))
     return worst

@@ -791,6 +791,30 @@ def test_relations_memory_is_bounded(tmp_path):
     assert peak < 2 * 2 ** 20
 
 
+def test_relations_derivation_error_exits_2_before_any_output(
+        capsys, monkeypatch):
+    # every rule is derived before the first byte is written
+    from ncadhm import hopf_twist
+    from ncadhm.star_algebra import NonConfluent
+
+    derived = hopf_twist._derived_rule
+    calls = []
+
+    def failing(model, g, h, twisted):
+        calls.append((g, h))
+        if len(calls) == 40:
+            raise NonConfluent("no rule for this pair")
+        return derived(model, g, h, twisted)
+
+    monkeypatch.setattr(hopf_twist, "_derived_rule", failing)
+    assert run(["relations", "--model", "moyal", "--hbar", "0.2",
+                "--space", "MonadM", "--k", "1"]) == 2
+    captured = capsys.readouterr()
+    assert len(calls) == 40
+    assert captured.out == ""
+    assert "no rule for this pair" in captured.err
+
+
 @pytest.mark.parametrize("target", ["missing/out.json", "."],
                          ids=["missing-directory", "directory"])
 def test_unwritable_out_is_a_usage_error(target, tmp_path, capsys):

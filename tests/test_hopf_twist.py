@@ -14,8 +14,9 @@ from ncadhm.hopf_twist import (
     _derived_rule, _is_default_rule, _twist_eval_word, _validate,
 )
 from ncadhm.star_algebra import (
-    C4, MONAD_M, R4, Coefficient, GeneratorId, NCPolynomial, multiply,
-    normal_form, star_closure_residual,
+    C4, HOPF_TORUS, HOPF_TRANS, MONAD_M, R4, Coefficient, GeneratorId,
+    NCPolynomial, UnknownGenerator, multiply, normal_form,
+    star_closure_residual,
 )
 
 from monad_symmetry import (
@@ -490,6 +491,124 @@ def test_pair_rules_across_spaces_match_the_reference_loop(kind,
     got = rules()
     monkeypatch.setattr(hopf_twist, "_pair_rules", _reference_pair_rules)
     _assert_same_rules(got, rules())
+
+
+def _reference_smash_rules(model, k, include_monad, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(hopf_twist, "_pair_rules", _reference_pair_rules)
+        return smash_relations(model, k=k, include_monad=include_monad).rules
+
+
+SMASH_CASES = [(1, True), (2, True), (1, False)]
+
+
+@pytest.mark.parametrize("k, include_monad", SMASH_CASES)
+@pytest.mark.parametrize("kind", list(RELABEL_MODELS))
+def test_lazy_smash_rules_match_the_eager_reference(kind, k, include_monad,
+                                                    monkeypatch):
+    # Iterated from fresh, and iterated after the pairs were looked up in
+    # reverse order (so each class is derived on another pair first), the
+    # lazy rules hold the reference's keys in its order, with its bits.
+    want = _reference_smash_rules(RELABEL_MODELS[kind](), k, include_monad,
+                                  monkeypatch)
+    _assert_same_rules(smash_relations(RELABEL_MODELS[kind](), k=k,
+                                       include_monad=include_monad).rules,
+                       want)
+    rel = smash_relations(RELABEL_MODELS[kind](), k=k,
+                          include_monad=include_monad)
+    lazy = rel.rules
+    for g in reversed(rel.generators):
+        for h in reversed(rel.generators):
+            assert ((g, h) in lazy) == ((g, h) in want), (g, h)
+    _assert_same_rules(lazy, want)
+    assert len(lazy) == len(want)
+    # the monad rules come first, then the coordinate rules, then the Hopf
+    # rules
+    parts = [2 if {g.space for g in pair} & {HOPF_TRANS, HOPF_TORUS}
+             else 1 if pair[0].space == C4 else 0 for pair in lazy]
+    assert parts == sorted(parts)
+    assert 1 in parts and (0 in parts) == include_monad
+
+
+def test_a_lazy_rule_that_writes_an_outside_letter_raises(monkeypatch):
+    # the smash system is built without deriving the rule; the engine
+    # derives it when it first meets the pair, and refuses the letter
+    derived = hopf_twist._derived_rule
+
+    def outside(model, g, h, twisted):
+        return derived(model, g, h, twisted) + (((zeta(1),),
+                                                  Coefficient(1.0)),)
+
+    monkeypatch.setattr(hopf_twist, "_derived_rule", outside)
+    rel = smash_relations(MoyalModel(0.1, 1.0, 2.1), include_monad=False)
+    with pytest.raises(UnknownGenerator, match=r"z2\*z1 writes a letter"):
+        normal_form(NCPolynomial.from_word((z(2), z(1))), rel)
+
+
+def test_a_key_error_inside_a_lazy_derivation_is_not_a_missing_rule(
+        monkeypatch):
+    # a lookup that fails inside the derivation raises; the pair is not
+    # taken for one that commutes
+    def failing(model, g, h, twisted):
+        raise KeyError("a table entry")
+
+    monkeypatch.setattr(hopf_twist, "_derived_rule", failing)
+    rel = smash_relations(MoyalModel(0.1, 1.0, 2.1), include_monad=False)
+    with pytest.raises(KeyError, match="a table entry"):
+        normal_form(NCPolynomial.from_word((z(2), z(1))), rel)
+
+
+@pytest.mark.parametrize("kind", list(RELABEL_MODELS))
+def test_forced_rules_give_the_normal_forms_of_lazy_rules(kind):
+    forced = smash_relations(RELABEL_MODELS[kind](), k=1)
+    assert len(forced.rules)
+    lazy = smash_relations(RELABEL_MODELS[kind](), k=1)
+    gens = lazy.generators
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        w = tuple(gens[i] for i in rng.integers(0, len(gens),
+                                                int(rng.integers(2, 6))))
+        p = NCPolynomial.from_word(w, complex(*rng.standard_normal(2)))
+        got, want = normal_form(p, lazy), normal_form(p, forced)
+        assert list(got.terms) == list(want.terms), w
+        assert [struct.pack("<dd", v.real, v.imag)
+                for v in got.terms.values()] == \
+            [struct.pack("<dd", v.real, v.imag)
+             for v in want.terms.values()], w
+
+
+@pytest.mark.parametrize("make, params, differ", [
+    (lambda x: MoyalModel(x, 1.0, 1.0), (0.1, 0.2), True),
+    # the torus rules are formal in mu, so theta = 0 alone changes them
+    (ToricModel, (0.25, 0.3), False),
+    (ToricModel, (0.0, 0.3), True),
+])
+def test_model_memos_are_per_model(make, params, differ):
+    # Two parameters in one process, each derived twice on one model and
+    # once more on a fresh one: a memo shared between models would hand the
+    # second parameter the first one's cocycle values.
+    first = {x: derive_relations(make(x), C4).rules for x in params}
+    a, b = ([_rhs_bits(rhs) for rhs in first[x].values()] for x in params)
+    assert (a != b) == differ
+    for x in params:
+        model = make(x)
+        _assert_same_rules(derive_relations(model, C4).rules, first[x])
+        _assert_same_rules(derive_relations(model, C4).rules, first[x])
+        _assert_same_rules(derive_relations(make(x), C4).rules, first[x])
+
+
+@pytest.mark.parametrize("kind", ["moyal", "toric"])
+def test_word_coactions_and_cocycle_values_are_memoised(kind, request):
+    model = request.getfixturevalue(kind)
+    word = (z(1), z(3, True), z(4))
+    branches = hopf_twist._word_coaction(model, word)
+    assert isinstance(branches, tuple)
+    assert hopf_twist._word_coaction(model, word) is branches
+    fresh = MODELS[kind]()
+    assert hopf_twist._word_coaction(fresh, word) == branches
+    h, g = (T1S, T1) if kind == "moyal" else (S1, S2)
+    assert model.cocycle(h, g) is model.cocycle(h, g)
+    assert model.cocycle(h, g) == fresh._cocycle(h, g)
 
 
 @pytest.mark.parametrize("kind", list(RELABEL_MODELS))

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncadhm import star_algebra
 from ncadhm.star_algebra import (
     Coefficient, GeneratorId, NCPolynomial, NonTerminating, RelationSystem,
-    MissingCalculus, UnknownGenerator, adjoint, commutator_norms,
-    differential, multiply, normal_form, reduce_modulo, sum_of_products, AUX,
-    C4, CP3, HOPF_TORUS, HOPF_TRANS, MONAD_M, R4, S4, TOL, _FREE,
-    _reduce_coded, _reduce_terms,
+    MissingCalculus, UnknownGenerator, adjoint, associativity_residual,
+    commutator_norms, differential, multiply, normal_form, reduce_modulo,
+    star_closure_residual, sum_of_products, AUX, C4, CP3, HOPF_TORUS,
+    HOPF_TRANS, MONAD_M, R4, S4, TOL, _FREE, _reduce_coded, _reduce_terms,
 )
 from ncadhm.hopf_twist import (
     ClassicalModel, MoyalModel, ToricModel, derive_relations,
@@ -829,6 +830,60 @@ def test_commutator_norms_match_the_decoded_difference(system):
         got = commutator_norms(x, ys, rel, 0.3)
         assert [struct.pack("<d", v) for v in got] == \
             [struct.pack("<d", v) for v in want]
+
+
+def _decoded_associativity_residual(rel, rng, trials):
+    """The confluence probe over decoded products, kept verbatim as a
+    reference."""
+    worst = 0.0
+    for _ in range(trials):
+        a = star_algebra._random_poly(rel, rng)
+        b = star_algebra._random_poly(rel, rng)
+        c = star_algebra._random_poly(rel, rng)
+        lhs = multiply(multiply(a, b, rel), c, rel)
+        rhs = multiply(a, multiply(b, c, rel), rel)
+        worst = max(worst, (lhs - rhs).eval_norm(rel.theta))
+    return worst
+
+
+def _decoded_star_closure_residual(rel, rng, trials):
+    """The star-closure probe over decoded products, kept verbatim as a
+    reference."""
+    worst = 0.0
+    for _ in range(trials):
+        a = star_algebra._random_poly(rel, rng)
+        b = star_algebra._random_poly(rel, rng)
+        lhs = adjoint(multiply(a, b, rel), rel)
+        rhs = multiply(adjoint(b, rel), adjoint(a, rel), rel)
+        worst = max(worst, (lhs - rhs).eval_norm(rel.theta))
+    return worst
+
+
+def _scaled_first_coefficients(rel):
+    """``rel`` with the first coefficient of every rule times 1.5: a
+    system on which most probes read a defect."""
+    rules = {pair: ((rhs[0][0], rhs[0][1].scale(1.5)), *rhs[1:])
+             if rhs else rhs for pair, rhs in rel.rules.items()}
+    return RelationSystem(rel.generators, rules, rel.star_table,
+                          theta=rel.theta)
+
+
+@pytest.mark.parametrize("mutant", [False, True])
+@pytest.mark.parametrize("system", list(_ENGINE_SYSTEMS))
+def test_probes_match_the_decoded_reference(system, mutant):
+    # the largest defect after each of the six trials of the seed of
+    # hopf_twist._validate, bit for bit; every system the CLI builds reads
+    # 0.0, and its mutant reads up to 345
+    rel = _ENGINE_SYSTEMS[system]()
+    if mutant:
+        rel = _scaled_first_coefficients(rel)
+    for probe, reference in (
+            (associativity_residual, _decoded_associativity_residual),
+            (star_closure_residual, _decoded_star_closure_residual)):
+        for trials in range(1, 7):
+            got = probe(rel, np.random.default_rng(12345), trials)
+            want = reference(rel, np.random.default_rng(12345), trials)
+            assert struct.pack("<d", got) == struct.pack("<d", want), trials
 
 
 @pytest.mark.parametrize("system", list(_ENGINE_SYSTEMS))

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from ncadhm import twistor
 from ncadhm.hopf_twist import z
-from ncadhm.star_algebra import NCPolynomial, UnknownGenerator
+from ncadhm.star_algebra import NCPolynomial, UnknownGenerator, normal_form
 from ncadhm.twistor import (
-    apply_J, cp3_gen, j_moyal_coaction_residual, j_squared_residual,
-    j_weight_residual, verify_embeddings,
+    apply_J, c4_ring, cp3_gen, cp3_z_image, j_moyal_coaction_residual,
+    j_squared_residual, j_weight_residual, verify_embeddings,
 )
 
 
@@ -66,3 +67,42 @@ def test_report_json():
     d = report.to_json_dict()
     assert d["passed"] is True
     assert len(d["checks"]) == 4
+
+
+def _intertwining_residual():
+    """Largest defect of J(iota(q)) = iota(J(q)) over the 20 projective
+    letters q, where iota(q_jl) = z_j z_l*, in the commutative C4 ring."""
+    ring = c4_ring()
+    worst = 0.0
+    for name in twistor._CP3:
+        for q in (cp3_gen(name), cp3_gen(name + "*")):
+            lhs = apply_J(cp3_z_image(q))
+            rhs = NCPolynomial.zero()
+            for (w, _, _), v in apply_J(word(q)).terms.items():
+                (letter,) = w
+                rhs = rhs + cp3_z_image(letter).scale(v)
+            worst = max(worst, normal_form(lhs - rhs, ring).eval_norm())
+    return worst
+
+
+def test_j_tables_intertwine_the_projector_letters():
+    assert _intertwining_residual() == 0.0
+
+
+# Paired sign mutants of the two J tables: three of the four pass every
+# twistor-checks check, and the intertwining catches each of them.
+J_MUTANTS = {
+    "J(z1), J(z2)": ("_J_C4", {1: (1.0, z(2, True)), 2: (-1.0, z(1, True))}),
+    "J(z3), J(z4)": ("_J_C4", {3: (1.0, z(4, True)), 4: (-1.0, z(3, True))}),
+    "J(u1), J(v1)": ("_J_CP3", {"u1": (1.0, "u1"), "v1": (1.0, "v1")}),
+    "J(u3), J(v3)": ("_J_CP3", {"u3": (1.0, "v3*"), "v3": (1.0, "u3*")}),
+}
+
+
+@pytest.mark.parametrize("mutant", list(J_MUTANTS))
+def test_intertwining_catches_paired_j_sign_mutants(mutant, monkeypatch):
+    table, entries = J_MUTANTS[mutant]
+    for key, value in entries.items():
+        assert getattr(twistor, table)[key][0] == -value[0]
+        monkeypatch.setitem(getattr(twistor, table), key, value)
+    assert _intertwining_residual() == 2.0

@@ -924,15 +924,14 @@ def smash_image(model: TwistModel, head, g: GeneratorId) -> NCPolynomial:
     return out
 
 
-def smash_relations(model: TwistModel, k=1,
-                    include_monad=True) -> RelationSystem:
+def smash_relations(model: TwistModel, k: int) -> RelationSystem:
     """Joint rewrite system of the smash product (algebra (x) Hopf letters).
 
-    Monad letters (unless left out) obey their twisted relations, Hopf
-    letters act on them via the canonical action, coordinate letters commute
-    with both, as in the bosonised picture.  Unlisted pairs commute.  The
-    bosonised monad maps with numeric entries live here, with or without
-    the monad letters.
+    The monad letters of index ``k`` (none for k = 0) obey their twisted
+    relations, Hopf letters act on them via the canonical action, coordinate
+    letters commute with both, as in the bosonised picture.  Unlisted pairs
+    commute.  The bosonised monad maps with numeric entries live here, with
+    or without the monad letters.
 
     The rules are the monad rules, then the coordinate rules, then the Hopf
     rules, chained into one mapping that the system only reads.  The monad
@@ -940,7 +939,7 @@ def smash_relations(model: TwistModel, k=1,
     Hopf rules are built here.
     """
     hopf = list(model.hopf_letters())
-    mon = list(model.generators(MONAD_M, k=k)) if include_monad else []
+    mon = list(model.generators(MONAD_M, k=k))
     coords = list(model.generators(C4, calculus=False))
     gens = mon + coords + hopf
     rules = {}

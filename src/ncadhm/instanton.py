@@ -378,6 +378,7 @@ def symbolic_projector_checks(data: ADHMData) -> Report:
     sigma_j = bosonise_j_map(m, model, rel)
 
     checks = []
+    # reduced again for the bits of the norm, as in monad_residual
     comp = tau.matmul(sigma, rel).map(lambda p: normal_form(p, rel))
     r1 = comp.eval_max_norm(theta)
     checks.append(Check("monad_orthogonality", r1 <= tol, r1, tol))

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._report import Check, Report
 from .hopf_twist import (
-    TwistModel, hopf_letter_monomial, model_from_json, monad_m, smash_image,
+    TwistModel, hopf_letter_monomial, model_from_json, monad_m,
     smash_relations, z,
 )
 from .star_algebra import (
@@ -288,30 +288,29 @@ class PolyMatrix:
 _Z_LETTERS = tuple((1.0, z(j)) for j in range(1, 5))
 
 
-def bosonise_monad(m: MonadMatrices, model: TwistModel, rel,
-                   tilde_basis=True):
+def bosonise_monad(m: MonadMatrices, model: TwistModel, rel):
     """Smash-valued monad maps over (Hopf letters) x (deformed coordinates).
 
-    With ``tilde_basis`` the numeric blocks are read as values of the
-    commuting tilde generators (the convention of the canonical forms);
-    without it they multiply the raw coaction legs.  ``rel`` is a
+    The numeric blocks are read as values of the commuting tilde generators
+    (the convention of the canonical forms).  ``rel`` is a
     :func:`smash_relations` system of the model, with or without monad
     letters: words without them normal-order the same in both.  Returns
     ``(sigma, tau)``.
     """
-    sigma = _dressed_map(m.M, model, _Z_LETTERS, tilde_basis, rel)
-    tau = _dressed_map(m.N, model, _Z_LETTERS, tilde_basis, rel)
+    sigma = _dressed_map(m.M, model, _Z_LETTERS, rel)
+    tau = _dressed_map(m.N, model, _Z_LETTERS, rel)
     return sigma, tau
 
 
-def _dressed_map(blocks, model, letters, tilde_basis, rel):
-    """sum_r sign_r M^r (x) (coaction of letter_r), normal-ordered in rel,
-    optionally in the tilde basis; ``letters`` holds (sign, letter) pairs."""
+def _dressed_map(blocks, model, letters, rel):
+    """sum_r sign_r M^r (x) (coaction of letter_r) in the tilde basis,
+    normal-ordered in rel; ``letters`` holds (sign, letter) pairs.
+
+    Each leg is filed under the tilde index s of its decomposition, so the
+    map is not a sum of :func:`smash_image` calls, one per letter.
+    """
     wpolys = {s: NCPolynomial.zero() for s in range(1, 5)}
     for r, (sign, g) in enumerate(letters):
-        if not tilde_basis:
-            wpolys[r + 1] = smash_image(model, (), g).scale(sign)
-            continue
         for c, hm, x in model.coaction(g):
             for c2, s, hm2 in model.tilde_decompose(r + 1, hm):
                 wpolys[s] = wpolys[s] + NCPolynomial.from_word(
@@ -330,7 +329,7 @@ def bosonise_j_map(m: MonadMatrices, model: TwistModel, rel):
     quaternionic structure of :mod:`twistor`.
     """
     letters = tuple(j_image(z(j)) for j in range(1, 5))
-    return _dressed_map(m.M, model, letters, True, rel)
+    return _dressed_map(m.M, model, letters, rel)
 
 
 def monad_residual(m: MonadMatrices, model: TwistModel) -> PolyMatrix:
@@ -341,9 +340,10 @@ def monad_residual(m: MonadMatrices, model: TwistModel) -> PolyMatrix:
     composition picks up the constant shift i hbar (alpha + beta) on the
     z1 z2 word from reordering z4 z3.
     """
-    rel = smash_relations(model, include_monad=False)
+    rel = smash_relations(model, 0)
     sigma, tau = bosonise_monad(m, model, rel)
     comp = tau.matmul(sigma, rel)
+    # reduced already; the pass reverses the order that eval_norm sums in
     return comp.map(lambda p: normal_form(p, rel))
 
 

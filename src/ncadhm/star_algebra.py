@@ -73,10 +73,10 @@ class NonConfluent(StarAlgebraError):
     pass
 
 
+# The projective letters by index; ``twistor`` keeps the q_jl they stand for.
+CP3_NAMES = {1: "a1", 2: "a2", 3: "a3", 4: "a4",
+             5: "u1", 6: "u2", 7: "u3", 8: "v1", 9: "v2", 10: "v3"}
 # Localisation inverses use index -1 so they sort leftmost in their space.
-_CP3_NAMES = {1: "a1", 2: "a2", 3: "a3", 4: "a4",
-              5: "u1", 6: "u2", 7: "u3", 8: "v1", 9: "v2", 10: "v3",
-              -1: "inv(a1+a2)"}
 _S4_NAMES = {0: "x0", 1: "x1", 2: "x2", -1: "inv(1+x0)"}
 _R4_NAMES = {1: "zeta1", 2: "zeta2", -1: "inv(1+|zeta|2)"}
 
@@ -150,7 +150,7 @@ class GeneratorId:
         elif self.space == S4:
             base = _S4_NAMES.get(self.index, f"x{self.index}")
         elif self.space == CP3:
-            base = _CP3_NAMES.get(self.index, f"q{self.index}")
+            base = CP3_NAMES.get(self.index, f"q{self.index}")
         elif self.space == MONAD_M:
             base = f"M{self.index}[{self.row},{self.col}]"
         elif self.space == HOPF_TRANS:
@@ -606,10 +606,10 @@ def _reduce_coded(terms, rel: RelationSystem, budget: int):
     return out
 
 
-def normal_form(p: NCPolynomial, rel: RelationSystem,
-                budget: int = STEP_BUDGET) -> NCPolynomial:
-    """Bring every word of ``p`` to normal order with respect to ``rel``."""
-    return NCPolynomial(_reduce_terms(p.terms, rel, budget))
+def normal_form(p: NCPolynomial, rel: RelationSystem) -> NCPolynomial:
+    """Bring every word of ``p`` to normal order with respect to ``rel``;
+    more than ``STEP_BUDGET`` rewrites raise :class:`NonTerminating`."""
+    return NCPolynomial(_reduce_terms(p.terms, rel, STEP_BUDGET))
 
 
 def leading_term(p: NCPolynomial):
@@ -644,8 +644,8 @@ def _first_division(p: NCPolynomial, divisors):
     return None
 
 
-def reduce_modulo(p: NCPolynomial, rel: RelationSystem, side_relations,
-                  budget: int = STEP_BUDGET) -> NCPolynomial:
+def reduce_modulo(p: NCPolynomial, rel: RelationSystem,
+                  side_relations) -> NCPolynomial:
     """Normal form of ``p`` modulo the ideal of ``side_relations``.
 
     Leading-monomial division (Bergman's diamond lemma): while some word of
@@ -654,7 +654,7 @@ def reduce_modulo(p: NCPolynomial, rel: RelationSystem, side_relations,
     cancels it.  Precondition: the letters of each leading word commute with
     the rest of the word, so that ``s * cofactor`` contains the word itself
     (commutative side relations and central formal inverses qualify).  More
-    than ``budget`` divisions raise :class:`NonTerminating`.
+    than ``STEP_BUDGET`` divisions raise :class:`NonTerminating`.
     """
     divisors = []
     for s in side_relations:
@@ -663,14 +663,14 @@ def reduce_modulo(p: NCPolynomial, rel: RelationSystem, side_relations,
         if lh != 0:
             raise StarAlgebraError("side relation with non-invertible lead")
         divisors.append((lw, s))
-    p = normal_form(p, rel, budget)
+    p = normal_form(p, rel)
     steps = 0
     while True:
         hit = _first_division(p, divisors)
         if hit is None:
             return p
         steps += 1
-        if steps > budget:
+        if steps > STEP_BUDGET:
             raise NonTerminating("side-relation step budget exceeded")
         (w, h, m), v, s, cof = hit
         prod = multiply(s, NCPolynomial.from_word(cof), rel)

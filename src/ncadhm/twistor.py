@@ -5,6 +5,9 @@ twistor space presented through rank-one projector entries q_jl = z_j z_l*,
 the four-sphere inside both, the quaternionic involution J, and the two
 stereographic localisations.  Reduction modulo side relations (sphere,
 localisation inverses) is plain commutative polynomial rewriting.
+
+J is written once, on the coordinates (``_J_C4``); its image of a
+projective letter is derived from that table when it is asked for.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ from dataclasses import dataclass
 
 from ._report import Check, Report
 from .star_algebra import (
-    C4, CP3, R4, S4, Coefficient, GeneratorId, NCPolynomial, RelationSystem,
-    UnknownGenerator, classical_normal_form_word, multiply, reduce_modulo,
+    C4, CP3, CP3_NAMES, R4, S4, Coefficient, GeneratorId, NCPolynomial,
+    RelationSystem, UnknownGenerator, classical_normal_form_word, multiply,
+    reduce_modulo,
 )
 from .hopf_twist import ClassicalModel, ToricModel, MoyalModel, z, zeta
 
@@ -48,32 +52,20 @@ X0 = x_gen(0)
 X1, X2 = x_gen(1), x_gen(2)
 X1S, X2S = x_gen(1, True), x_gen(2, True)
 X0_INV = GeneratorId(S4, -1)
-
-CP3_E_INV = GeneratorId(CP3, -1)
 R4_INV = GeneratorId(R4, -1)
 
 
-# The projective-space generators: name -> (index, (j, l)), where the
-# generator is identified with q_jl = z_j z_l*.
-_CP3 = {
-    "a1": (1, (1, 1)), "a2": (2, (2, 2)), "a3": (3, (3, 3)),
-    "a4": (4, (4, 4)), "u1": (5, (1, 2)), "u2": (6, (1, 3)),
-    "u3": (7, (1, 4)), "v1": (8, (3, 4)), "v2": (9, (2, 4)),
-    "v3": (10, (2, 3)),
-}
-_CP3_NAME = {idx: name for name, (idx, _) in _CP3.items()}
+# The projective-space letters: index -> (j, l), where the letter of that
+# index (named in ``CP3_NAMES``) is identified with q_jl = z_j z_l*.
+_CP3 = {1: (1, 1), 2: (2, 2), 3: (3, 3), 4: (4, 4), 5: (1, 2), 6: (1, 3),
+        7: (1, 4), 8: (3, 4), 9: (2, 4), 10: (2, 3)}
+_CP3_INDEX = {jl: idx for idx, jl in _CP3.items()}
 
 
 def cp3_gen(name):
     conj = name.endswith("*")
-    return GeneratorId(CP3, _CP3[name.rstrip("*")][0], conj)
-
-
-_SELF_ADJOINT = {X0: X0, X0_INV: X0_INV, CP3_E_INV: CP3_E_INV,
-                 R4_INV: R4_INV}
-for _n in ("a1", "a2", "a3", "a4"):
-    _SELF_ADJOINT[cp3_gen(_n)] = cp3_gen(_n)
-    _SELF_ADJOINT[cp3_gen(_n + "*")] = cp3_gen(_n + "*")
+    index = next(i for i, n in CP3_NAMES.items() if n == name.rstrip("*"))
+    return GeneratorId(CP3, index, conj)
 
 
 def c4_ring():
@@ -84,13 +76,13 @@ def c4_ring():
 def s4_ring():
     """The four-sphere coordinates with the inverse of 1 + x0 adjoined."""
     gens = [X0, X1, X1S, X2, X2S, X0_INV]
-    return RelationSystem(gens, {}, star_table=_SELF_ADJOINT)
+    return RelationSystem(gens, {})
 
 
 def r4_ring():
     """The plane coordinates with the inverse of 1 + |zeta|^2 adjoined."""
     gens = list(ClassicalModel().generators(R4, calculus=False)) + [R4_INV]
-    return RelationSystem(gens, {}, star_table=_SELF_ADJOINT)
+    return RelationSystem(gens, {})
 
 
 def word(*gens):
@@ -121,10 +113,9 @@ def x_images_in_c4() -> dict:
 
 
 def cp3_z_image(g: GeneratorId) -> NCPolynomial:
-    name = _CP3_NAME.get(g.index)
-    if g.space != CP3 or name is None:
+    if g.space != CP3 or g.index not in _CP3:
         raise UnknownGenerator(f"{g} is not a projective-space generator")
-    j, l = _CP3[name][1]
+    j, l = _CP3[g.index]
     if g.conjugated:
         return word(z(l), z(j, True))
     return word(z(j), z(l, True))
@@ -143,27 +134,31 @@ def substitute(p: NCPolynomial, images: dict, target_rel) -> NCPolynomial:
 
 # -- quaternionic structure ----------------------------------------------------
 
+# J(z_j) = sign * letter; the one hand-written table of J
 _J_C4 = {1: (-1.0, z(2, True)), 2: (1.0, z(1, True)),
          3: (-1.0, z(4, True)), 4: (1.0, z(3, True))}
 
-_J_CP3 = {"a1": (1.0, "a2"), "a2": (1.0, "a1"), "a3": (1.0, "a4"),
-          "a4": (1.0, "a3"), "u1": (-1.0, "u1"), "v1": (-1.0, "v1"),
-          "u2": (1.0, "v2*"), "u3": (-1.0, "v3*"),
-          "v2": (1.0, "u2*"), "v3": (-1.0, "u3*")}
-
 
 def j_image(g: GeneratorId):
-    """J on one generator: returns ``(sign, GeneratorId)``."""
+    """J on one generator: returns ``(sign, GeneratorId)``.
+
+    J is a *-anti-algebra map, so if J(z_j) = s_j z_p(j)* (``_J_C4``), then
+    J(q_jl) = J(z_l*) J(z_j) = s_j s_l q_p(l)p(j), and a starred letter
+    maps to the star of the image of its letter.
+    """
     if g.space == C4:
         sign, base = _J_C4[g.index]
         out = base if not g.conjugated else base.star()
         if g.grade:
             out = out.d()
         return sign, out
-    if g.space == CP3 and g.index >= 1:
-        sign, img = _J_CP3[_CP3_NAME[g.index]]
-        img_g = cp3_gen(img)
-        return sign, img_g.star() if g.conjugated else img_g
+    if g.space == CP3 and g.index in _CP3:
+        j, l = _CP3[g.index]
+        (s_j, zj), (s_l, zl) = _J_C4[j], _J_C4[l]
+        pair = (zl.index, zj.index)
+        flip = pair not in _CP3_INDEX
+        index = _CP3_INDEX[pair[::-1] if flip else pair]
+        return s_j * s_l, GeneratorId(CP3, index, flip != g.conjugated)
     raise UnknownGenerator(f"J is not defined on {g}")
 
 
@@ -329,8 +324,8 @@ def j_squared_residual() -> float:
         for conj in (False, True):
             g = z(j, conj)
             res = max(res, (apply_J(apply_J(word(g))) + word(g)).eval_norm())
-    for name in _CP3:
-        g = cp3_gen(name)
+    for index in _CP3:
+        g = GeneratorId(CP3, index)
         res = max(res, (apply_J(apply_J(word(g))) - word(g)).eval_norm())
     return res
 

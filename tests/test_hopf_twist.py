@@ -493,12 +493,13 @@ def test_pair_rules_across_spaces_match_the_reference_loop(kind,
     _assert_same_rules(got, rules())
 
 
-def _reference_smash_rules(model, k, include_monad, monkeypatch):
+def _reference_smash_rules(model, k, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(hopf_twist, "_pair_rules", _reference_pair_rules)
-        return smash_relations(model, k=k, include_monad=include_monad).rules
+        return smash_relations(model, k).rules
 
 
+# (k, with the monad letters); k = 1 without them is the system of index 0
 SMASH_CASES = [(1, True), (2, True), (1, False)]
 
 
@@ -509,13 +510,11 @@ def test_lazy_smash_rules_match_the_eager_reference(kind, k, include_monad,
     # Iterated from fresh, and iterated after the pairs were looked up in
     # reverse order (so each class is derived on another pair first), the
     # lazy rules hold the reference's keys in its order, with its bits.
-    want = _reference_smash_rules(RELABEL_MODELS[kind](), k, include_monad,
-                                  monkeypatch)
-    _assert_same_rules(smash_relations(RELABEL_MODELS[kind](), k=k,
-                                       include_monad=include_monad).rules,
+    k = k if include_monad else 0
+    want = _reference_smash_rules(RELABEL_MODELS[kind](), k, monkeypatch)
+    _assert_same_rules(smash_relations(RELABEL_MODELS[kind](), k).rules,
                        want)
-    rel = smash_relations(RELABEL_MODELS[kind](), k=k,
-                          include_monad=include_monad)
+    rel = smash_relations(RELABEL_MODELS[kind](), k)
     lazy = rel.rules
     for g in reversed(rel.generators):
         for h in reversed(rel.generators):
@@ -540,7 +539,7 @@ def test_a_lazy_rule_that_writes_an_outside_letter_raises(monkeypatch):
                                                   Coefficient(1.0)),)
 
     monkeypatch.setattr(hopf_twist, "_derived_rule", outside)
-    rel = smash_relations(MoyalModel(0.1, 1.0, 2.1), include_monad=False)
+    rel = smash_relations(MoyalModel(0.1, 1.0, 2.1), 0)
     with pytest.raises(UnknownGenerator, match=r"z2\*z1 writes a letter"):
         normal_form(NCPolynomial.from_word((z(2), z(1))), rel)
 
@@ -553,7 +552,7 @@ def test_a_key_error_inside_a_lazy_derivation_is_not_a_missing_rule(
         raise KeyError("a table entry")
 
     monkeypatch.setattr(hopf_twist, "_derived_rule", failing)
-    rel = smash_relations(MoyalModel(0.1, 1.0, 2.1), include_monad=False)
+    rel = smash_relations(MoyalModel(0.1, 1.0, 2.1), 0)
     with pytest.raises(KeyError, match="a table entry"):
         normal_form(NCPolynomial.from_word((z(2), z(1))), rel)
 

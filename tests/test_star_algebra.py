@@ -568,7 +568,7 @@ def _engine_systems():
             yield (f"{name}-smash-k{k}",
                    lambda m=model, k=k: smash_relations(m, k=k))
         yield (f"{name}-smash-no-monad",
-               lambda m=model: smash_relations(m, include_monad=False))
+               lambda m=model: smash_relations(m, 0))
 
 
 def _bits(v):
@@ -931,14 +931,15 @@ def test_moyal_r4_calculus_undeformed(moyal_r4):
     assert p.coefficient((), hbar=1).approx_eq(Coefficient(1j * HBAR * ALPHA, 1))
 
 
-def test_nonterminating_budget():
+def test_nonterminating_budget(monkeypatch):
     g1, g2 = z(1), z(2)
     bad = RelationSystem(
         [g1, g2],
         {(g1, g2): (((g2, g1), Coefficient(1.0)),),
          (g2, g1): (((g1, g2), Coefficient(1.0)),)})
+    monkeypatch.setattr(star_algebra, "STEP_BUDGET", 100)
     with pytest.raises(NonTerminating):
-        normal_form(word(g2, g1), bad, budget=100)
+        normal_form(word(g2, g1), bad)
 
 
 def test_json_rendering(moyal_c4):
@@ -960,15 +961,18 @@ def test_canonical_text_golden(moyal_c4):
     assert q.canonical_text() == "(1+0j)*mu^1*z1*z3"
 
 
-def test_reduce_modulo_budget():
+def test_reduce_modulo_budget(monkeypatch):
     # x^6 modulo x^2 - 1 needs three divisions
     x = z(1)
     rel = RelationSystem([x], {})
     side = [word(x, x) - NCPolynomial.one()]
     p = word(*[x] * 6)
     assert reduce_modulo(p, rel, side).canonical_text() == "(1+0j)*1"
+    monkeypatch.setattr(star_algebra, "STEP_BUDGET", 3)
+    assert reduce_modulo(p, rel, side).canonical_text() == "(1+0j)*1"
+    monkeypatch.setattr(star_algebra, "STEP_BUDGET", 2)
     with pytest.raises(NonTerminating):
-        reduce_modulo(p, rel, side, budget=2)
+        reduce_modulo(p, rel, side)
 
 
 def test_reduce_modulo_formal_inverse():
@@ -977,7 +981,7 @@ def test_reduce_modulo_formal_inverse():
     d = ADHMData(1, model, [[0.3 + 0.1j]], [[-0.2j]],
                  [[np.sqrt(model.zeta_level), 0.0]], [[0.0], [0.0]])
     assert sum(adhm_residual(d)) <= 1e-15
-    rel = smash_relations(model, include_monad=False)
+    rel = smash_relations(model, 0)
     sigma, _ = bosonise_monad(build_monad(d), model, rel)
     rho2 = sigma.adjoint(rel).matmul(sigma, rel).entries[0][0]
     rel2 = RelationSystem(list(rel.generators) + [RHO2_INV], rel.rules,

@@ -3,10 +3,13 @@ import pytest
 
 from ncadhm import twistor
 from ncadhm.hopf_twist import z
-from ncadhm.star_algebra import NCPolynomial, UnknownGenerator, normal_form
+from ncadhm.star_algebra import (
+    CP3_NAMES, NCPolynomial, UnknownGenerator, normal_form,
+)
 from ncadhm.twistor import (
-    apply_J, c4_ring, cp3_gen, cp3_z_image, j_moyal_coaction_residual,
-    j_squared_residual, j_weight_residual, verify_embeddings,
+    apply_J, c4_ring, cp3_gen, cp3_z_image, j_image,
+    j_moyal_coaction_residual, j_squared_residual, j_weight_residual,
+    verify_embeddings,
 )
 
 
@@ -69,12 +72,26 @@ def test_report_json():
     assert len(d["checks"]) == 4
 
 
+# J on the projective letters, written out by hand: name -> (sign, image)
+J_CP3_ORACLE = {"a1": (1.0, "a2"), "a2": (1.0, "a1"), "a3": (1.0, "a4"),
+                "a4": (1.0, "a3"), "u1": (-1.0, "u1"), "v1": (-1.0, "v1"),
+                "u2": (1.0, "v2*"), "u3": (-1.0, "v3*"),
+                "v2": (1.0, "u2*"), "v3": (-1.0, "u3*")}
+
+
+def test_derived_projective_j_matches_the_literal_table():
+    assert sorted(J_CP3_ORACLE) == sorted(CP3_NAMES.values())
+    for name, (sign, image) in J_CP3_ORACLE.items():
+        assert j_image(cp3_gen(name)) == (sign, cp3_gen(image))
+        assert j_image(cp3_gen(name + "*")) == (sign, cp3_gen(image).star())
+
+
 def _intertwining_residual():
     """Largest defect of J(iota(q)) = iota(J(q)) over the 20 projective
     letters q, where iota(q_jl) = z_j z_l*, in the commutative C4 ring."""
     ring = c4_ring()
     worst = 0.0
-    for name in twistor._CP3:
+    for name in CP3_NAMES.values():
         for q in (cp3_gen(name), cp3_gen(name + "*")):
             lhs = apply_J(cp3_z_image(q))
             rhs = NCPolynomial.zero()
@@ -89,20 +106,22 @@ def test_j_tables_intertwine_the_projector_letters():
     assert _intertwining_residual() == 0.0
 
 
-# Paired sign mutants of the two J tables: three of the four pass every
-# twistor-checks check, and the intertwining catches each of them.
+# Paired sign mutants of the one J table.  J on the projective letters is
+# derived from it, so the intertwining still holds, and fibration_j_fixed
+# catches each of them.
 J_MUTANTS = {
-    "J(z1), J(z2)": ("_J_C4", {1: (1.0, z(2, True)), 2: (-1.0, z(1, True))}),
-    "J(z3), J(z4)": ("_J_C4", {3: (1.0, z(4, True)), 4: (-1.0, z(3, True))}),
-    "J(u1), J(v1)": ("_J_CP3", {"u1": (1.0, "u1"), "v1": (1.0, "v1")}),
-    "J(u3), J(v3)": ("_J_CP3", {"u3": (1.0, "v3*"), "v3": (1.0, "u3*")}),
+    "J(z1), J(z2)": {1: (1.0, z(2, True)), 2: (-1.0, z(1, True))},
+    "J(z3), J(z4)": {3: (1.0, z(4, True)), 4: (-1.0, z(3, True))},
 }
 
 
 @pytest.mark.parametrize("mutant", list(J_MUTANTS))
-def test_intertwining_catches_paired_j_sign_mutants(mutant, monkeypatch):
-    table, entries = J_MUTANTS[mutant]
-    for key, value in entries.items():
-        assert getattr(twistor, table)[key][0] == -value[0]
-        monkeypatch.setitem(getattr(twistor, table), key, value)
-    assert _intertwining_residual() == 2.0
+def test_fibration_j_fixed_catches_paired_j_sign_mutants(mutant, monkeypatch):
+    for key, value in J_MUTANTS[mutant].items():
+        assert twistor._J_C4[key][0] == -value[0]
+        monkeypatch.setitem(twistor._J_C4, key, value)
+    residuals = {c.name: c.residual for c in verify_embeddings().checks}
+    assert residuals == {"s4_in_s7": 0.0, "fibration_j_fixed": 8.0,
+                         "stereographic_inverses": 0.0,
+                         "localised_trivialisation": 0.0}
+    assert _intertwining_residual() == 0.0

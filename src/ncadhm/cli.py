@@ -30,49 +30,37 @@ from .adhm_solver import (
     NoConvergence, NotASolution, SolveConfig, moduli_dimension, solve,
 )
 from .instanton import (
-    PointR4, QuadratureBudgetExceeded, QuadratureSpec, SingularRho, charge,
-    curvature_samples, symbolic_projector_checks,
+    ASD_TOL, PointR4, QuadratureBudgetExceeded, QuadratureSpec, SingularRho,
+    charge, curvature_samples, symbolic_projector_checks,
 )
 from .monad import ADHMData, adhm_residual, build_monad, monad_residual
 from .star_algebra import C4, R4, RelationSystem, StarAlgebraError
-from .twistor import j_squared_residual, verify_embeddings
-
-
-_EMIT_CHARS = 1 << 16  # characters joined into each write but the last
+from .twistor import RESIDUAL_TOL, j_squared_residual, verify_embeddings
 
 
 def _emit(obj, path=None):
     """Write ``obj`` as the text of ``json.dumps(obj, indent=2,
     sort_keys=True)`` and a newline, to stdout or to the --out file.
 
-    The text is written while it is encoded, in writes of about
-    ``_EMIT_CHARS`` characters, so it is never held whole.  A relation
-    system, as the value of a top-level key, stands for its "rules" array
-    (see ``RelationSystem.streamed_json_dict``): ``_rule_chunks`` writes it
-    from a template, and the indented encoder writes the rest.  The --out
-    file is opened only now, after the work (it may be the --data file),
-    and an error from opening or writing it is a usage error.
+    The text is written chunk by chunk while it is encoded, so it is never
+    held whole.  A relation system, as the value of a top-level key, stands
+    for its "rules" array (see ``RelationSystem.streamed_json_dict``):
+    ``_rule_chunks`` writes it from a template, and the indented encoder
+    writes the rest.  The --out file is opened only now, after the work (it
+    may be the --data file), and an error from opening or writing it is a
+    usage error.
     """
     chunks = _json_chunks(obj)
     if not path:
-        _write_chunks(sys.stdout, chunks)
+        sys.stdout.writelines(chunks)
+        sys.stdout.write("\n")
         return
     try:
         with open(path, "w") as fh:
-            _write_chunks(fh, chunks)
+            fh.writelines(chunks)
+            fh.write("\n")
     except OSError as exc:
         raise ValueError(f"argument --out: {exc}") from exc
-
-
-def _write_chunks(fh, chunks):
-    batch, size = [], 0
-    for chunk in chunks:
-        batch.append(chunk)
-        size += len(chunk)
-        if size >= _EMIT_CHARS:
-            fh.write("".join(batch))
-            batch, size = [], 0
-    fh.write("".join(batch) + "\n")
 
 
 def _json_chunks(obj):
@@ -227,7 +215,8 @@ def cmd_relations(args) -> int:
 def cmd_twistor_checks(args) -> int:
     report = verify_embeddings()
     j2 = j_squared_residual()
-    report.checks.append(Check("J_squared", j2 <= 1e-12, j2, 1e-12))
+    report.checks.append(Check("J_squared", j2 <= RESIDUAL_TOL, j2,
+                               RESIDUAL_TOL))
     _emit(report.to_json_dict(), args.out)
     return 0 if report.passed else 1
 
@@ -299,9 +288,9 @@ def cmd_instanton(args) -> int:
         "points": args.points,
         "seed": args.seed,
         "max_asd_residual": worst,
-        "asd_tolerance": 1e-6,
+        "asd_tolerance": ASD_TOL,
         "trace_Q_max_error": trace_error,
-        "passed": (not args.check_asd) or (worst <= 1e-6
+        "passed": (not args.check_asd) or (worst <= ASD_TOL
                                            and trace_error <= 1e-10),
     }
     _emit(out, args.out)
@@ -421,8 +410,7 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (StarAlgebraError, SingularRho, FileNotFoundError, KeyError,
-            ValueError) as exc:
+    except (StarAlgebraError, SingularRho, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

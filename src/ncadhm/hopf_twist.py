@@ -276,8 +276,17 @@ class TwistModel:
         return [(1.0, j, h)]
 
     def tilde_words(self, j):
-        """Expansion ``[(coeff, s, h)]`` of ``Mtilde^j`` over ``M^s (x) h``."""
-        return [(1.0, j, self.hopf_unit())]
+        """Expansion ``[(coeff, s, h)]`` of ``Mtilde^j`` over ``M^s (x) h``.
+
+        The inverse of ``tilde_decompose``, whose first term is ``M~^j (x) d``
+        with d group-like (d d* = 1) and whose other terms sit on tilde
+        indices that ``tilde_decompose`` leaves alone: ``M^j (x) 1 =
+        M~^j (x) d + sum c M~^s (x) h`` gives ``M~^j (x) 1 = M^j (x) d* -
+        sum c M^s (x) h d*``.
+        """
+        (_, _, d), *rest = self.tilde_decompose(j, self.hopf_unit())
+        return [(1.0, j, d.star())] + [(-c, s, h * d.star())
+                                       for c, s, h in rest]
 
     def to_json_dict(self):
         return {"model": self.kind}
@@ -388,13 +397,6 @@ class MoyalModel(TwistModel):
             return [(1.0, 2, h), (-0.5, 3, T2S * h), (-0.5, 4, T1 * h)]
         return [(1.0, j, h)]
 
-    def tilde_words(self, j):
-        if j == 1:
-            return [(1.0, 1, TRANS_UNIT), (0.5, 3, T1S), (-0.5, 4, T2)]
-        if j == 2:
-            return [(1.0, 2, TRANS_UNIT), (0.5, 3, T2S), (0.5, 4, T1)]
-        return [(1.0, j, TRANS_UNIT)]
-
     def primed_action(self, hm, j, conj):
         """``hm |>' Mtilde^j`` (conjugated when ``conj``) as ``[(coeff, s)]``."""
         if hm.is_unit():
@@ -466,11 +468,6 @@ class ToricModel(TwistModel):
         if j in (1, 2):
             return [(1.0, j, VARSIGMA[j - 1].star() * h)]
         return [(1.0, j, h)]
-
-    def tilde_words(self, j):
-        if j in (1, 2):
-            return [(1.0, j, VARSIGMA[j - 1])]
-        return [(1.0, j, TORUS_UNIT)]
 
     def primed_action(self, hm, j, conj):
         """varsigma_l |>' Mtilde^j = eta_{lj} Mtilde^j (conjugates flipped)."""

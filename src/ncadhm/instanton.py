@@ -44,6 +44,8 @@ class QuadratureBudgetExceeded(Exception):
 
 
 SINGULAR_CUTOFF = 1e-10
+# Band of the anti-self-duality residual |F + *F| / |F| at a point.
+ASD_TOL = 1e-6
 QUADRATURE_MAX_POINTS = 5_000_000
 # Points per curvature batch: bounds the n x n x 16 complex F held at once
 # (4 MiB at k=3); every per-point number is independent of the chunking.
@@ -218,7 +220,8 @@ def curvature_asd(data: ADHMData, points) -> Report:
     """Analytic curvature and the anti-self-duality residual at the points."""
     res = _per_point(*_plane_points(data, points), _asd_residuals)
     worst = float(res.max())
-    return Report([Check("asd_max_residual", worst <= 1e-6, worst, 1e-6)])
+    return Report([Check("asd_max_residual", worst <= ASD_TOL, worst,
+                         ASD_TOL)])
 
 
 def curvature_samples(data: ADHMData, points):

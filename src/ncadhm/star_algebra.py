@@ -132,7 +132,8 @@ class GeneratorId:
         return self._key
 
     def star(self) -> "GeneratorId":
-        """Raw conjugation toggle; relation systems may override via star_table."""
+        """Raw conjugation toggle.  A relation system maps a letter whose
+        toggle is not among its generators to itself (self-adjoint)."""
         return GeneratorId(self.space, self.index, not self.conjugated,
                            self.grade, self.row, self.col)
 
@@ -393,27 +394,21 @@ class RelationSystem:
     ``hopf_twist.smash_relations``) is asked only for the pairs that words
     reach.  ``rules`` must not change after the system is first used: the
     engine reads the rule of a pair once, with ``rules.get``.
-    ``star_table`` maps each generator to its adjoint image (identity
-    entries encode self-adjoint generators); the image of a generator must
-    be a generator.  ``theta`` is kept for numeric evaluation of mu-powers.
+    The adjoint of a generator is its conjugate when that is a generator
+    of the system, else the generator itself (self-adjoint).  ``theta`` is
+    kept for numeric evaluation of mu-powers.
     """
 
-    def __init__(self, generators, rules, star_table=None, theta=None,
-                 meta=None):
+    def __init__(self, generators, rules, theta=None, meta=None):
         self.generator_set = frozenset(generators)
         self.generators = tuple(sorted(self.generator_set,
                                        key=lambda g: g.sort_key))
         self.rules = rules
-        table = {}
-        for g in self.generators:
-            table[g] = g.star() if g.star() in self.generator_set else g
-        if star_table:
-            table.update(star_table)
-        self.star_table = table
         self.theta = theta
         self.meta = dict(meta or {})
         self._code = {g: i for i, g in enumerate(self.generators)}
-        self._star_codes = self._encode(table[g] for g in self.generators)
+        self._star_codes = tuple(self._code.get(g.star(), i)
+                                 for i, g in enumerate(self.generators))
         # one slot per pair of codes (a, b) at a * n + b, None until met
         self._actions = [None] * len(self.generators) ** 2
 

@@ -132,6 +132,19 @@ def test_usage_error_exit_code(capsys):
     assert run(["charge", "--data", "/nonexistent.json"]) == 2
 
 
+@pytest.mark.parametrize("error", [KeyError("x1"), FileNotFoundError("gone")],
+                         ids=["KeyError", "FileNotFoundError"])
+def test_a_bug_in_a_subcommand_is_not_a_usage_error(error, monkeypatch):
+    # the loaders and --out name their flag; an error that reaches run()
+    # unnamed is a fault of the program and propagates, not exit 2
+    def broken():
+        raise error
+
+    monkeypatch.setattr(cli, "verify_embeddings", broken)
+    with pytest.raises(type(error)):
+        run(["twistor-checks"])
+
+
 def _fresh_process(argv):
     """Exit code, stdout and stderr of ``python -m ncadhm argv``."""
     env = dict(os.environ)
@@ -679,16 +692,17 @@ def test_relations_expands_each_letters_coaction_once(capsys, monkeypatch):
 
 
 def test_streamed_output_keeps_every_byte(tmp_path, capsys):
-    # the largest pinned relations object spans many writes, as plain rule
-    # dicts (the indented encoder) and as streamed rules (the template)
+    # the largest pinned relations object is written in many chunks, as
+    # plain rule dicts (the indented encoder) and as streamed rules (the
+    # template)
     from ncadhm.hopf_twist import derive_relations
 
     rel = derive_relations(ToricModel(0.3), "MonadM", k=2)
     obj = rel.to_json_dict()
     want = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    assert len(want) > 10 * cli._EMIT_CHARS
     path = tmp_path / "rel.json"
     for doc in (obj, rel.streamed_json_dict()):
+        assert sum(1 for _ in cli._json_chunks(doc)) > 1000
         cli._emit(doc)
         assert capsys.readouterr().out == want
         cli._emit(doc, str(path))

@@ -350,8 +350,8 @@ def _scaled_rule(rel, pattern):
     rules = dict(rel.rules)
     (w, c), *rest = rules[pattern]
     rules[pattern] = ((w, c.scale(1.5)), *rest)
-    return RelationSystem(rel.generators, rules, rel.star_table,
-                          theta=rel.theta, meta=rel.meta)
+    return RelationSystem(rel.generators, rules, theta=rel.theta,
+                          meta=rel.meta)
 
 
 def test_reduced_centrality_check_is_not_vacuous():

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+from ncadhm import monad
 from ncadhm.hopf_twist import (
-    ClassicalModel, MoyalModel, ToricModel, derive_relations, smash_image,
-    smash_relations, z,
+    S1, T1, T1S, T2, T2S, TORUS_UNIT, TRANS_UNIT, ClassicalModel, MoyalModel,
+    ToricModel, derive_relations, smash_image, smash_relations, z,
 )
 from ncadhm.monad import (
     ADHMData, MonadMatrices, PolyMatrix, ShapeError, adhm_residual,
@@ -253,6 +256,101 @@ def test_tilde_coinvariance():
     for model in (MoyalModel(0.3, 1.0, 2.0), ToricModel(0.25),
                   ClassicalModel()):
         assert tilde_coinvariance_residual(model) < 1e-14
+
+
+# The tilde expansions M~^j = sum c M^s (x) h as they were written by hand
+# before tilde_words was derived from tilde_decompose: a literal oracle.
+TILDE_WORDS_ORACLE = {
+    "classical": {j: [(1.0, j, TRANS_UNIT)] for j in range(1, 5)},
+    "moyal": {1: [(1.0, 1, TRANS_UNIT), (0.5, 3, T1S), (-0.5, 4, T2)],
+              2: [(1.0, 2, TRANS_UNIT), (0.5, 3, T2S), (0.5, 4, T1)],
+              3: [(1.0, 3, TRANS_UNIT)],
+              4: [(1.0, 4, TRANS_UNIT)]},
+    "toric": {1: [(1.0, 1, S1)],
+              2: [(1.0, 2, S1.star())],
+              3: [(1.0, 3, TORUS_UNIT)],
+              4: [(1.0, 4, TORUS_UNIT)]},
+}
+
+
+@pytest.mark.parametrize("model", [
+    ClassicalModel(), MoyalModel(0.3, 1.0, 2.0), ToricModel(0.25),
+], ids=["classical", "moyal", "toric"])
+def test_derived_tilde_words_match_the_literal_table(model):
+    for j in range(1, 5):
+        assert model.tilde_words(j) == TILDE_WORDS_ORACLE[model.kind][j]
+
+
+@pytest.mark.parametrize("model", [MoyalModel(0.3, 1.0, 2.0),
+                                   ToricModel(0.25)], ids=["moyal", "toric"])
+def test_smash_isomorphism_visits_every_pair(model, monkeypatch):
+    pairs = []
+    primed_product = monad._primed_product
+
+    def counted(model, hg, key, tilde, rel):
+        pairs.append((hg, key))
+        return primed_product(model, hg, key, tilde, rel)
+
+    monkeypatch.setattr(monad, "_primed_product", counted)
+    tilde_subalgebra_check(model)
+    # four Hopf letters times 32 tilde generators (j, row, col, conj)
+    assert len(set(pairs)) == len(pairs) == 128
+
+
+# One-entry mutants of MoyalModel._primed at hbar = 0.3, alpha = 1,
+# beta = 2: each entry times 1.5 moves a coefficient i hbar alpha by 0.15
+# or i hbar beta by 0.3.
+PRIMED_MUTANTS = ([((T1, 1, False), 0.15), ((T1S, 1, True), 0.15),
+                   ((T1S, 2, False), 0.15), ((T1, 2, True), 0.15)]
+                  + [((T2S, 1, False), 0.3), ((T2, 1, True), 0.3),
+                     ((T2, 2, False), 0.3), ((T2S, 2, True), 0.3)])
+
+
+@pytest.mark.parametrize("entry, want", PRIMED_MUTANTS,
+                         ids=[f"{h.letters()[0].label()}-M{j}{'*' * c}"
+                              for (h, j, c), _ in PRIMED_MUTANTS])
+def test_smash_isomorphism_catches_each_primed_mutant(entry, want):
+    model = MoyalModel(0.3, 1.0, 2.0)
+    c, s = model._primed[entry]
+    model._primed[entry] = (c.scale(1.5), s)
+    rep = tilde_subalgebra_check(model)
+    assert rep["tilde_commutativity"].residual == 0.0
+    assert rep["smash_isomorphism"].residual == pytest.approx(want, rel=1e-12)
+    assert not rep.passed
+
+
+def _moyal_decompose_mutant(model):
+    # -0.5 -> -0.4 on the M~^3 leg of M^1
+    def mutant(j, h):
+        if j == 1:
+            return [(1.0, 1, h), (-0.4, 3, T1S * h), (0.5, 4, T2 * h)]
+        return MoyalModel.tilde_decompose(model, j, h)
+    return mutant
+
+
+def _toric_decompose_mutant(model):
+    # the dressing of M^1 not inverted
+    def mutant(j, h):
+        if j == 1:
+            return [(1.0, 1, S1 * h)]
+        return ToricModel.tilde_decompose(model, j, h)
+    return mutant
+
+
+@pytest.mark.parametrize("model, mutant, want", [
+    (MoyalModel(0.3, 1.0, 2.0), _moyal_decompose_mutant, 0.06),
+    (ToricModel(0.25), _toric_decompose_mutant, math.sqrt(2)),
+], ids=["moyal", "toric"])
+def test_tilde_commutativity_catches_a_decompose_mutant(model, mutant, want,
+                                                        monkeypatch):
+    monkeypatch.setattr(model, "tilde_decompose", mutant(model))
+    rep = tilde_subalgebra_check(model)
+    assert rep["tilde_commutativity"].residual == pytest.approx(want,
+                                                                rel=1e-12)
+    assert rep["smash_isomorphism"].residual == 0.0
+    # a blind spot: tilde_words is derived from the mutant, so the
+    # round trip through tilde_decompose still closes
+    assert tilde_coinvariance_residual(model) == 0.0
 
 
 @pytest.mark.parametrize("model", [MoyalModel(0.2, 1.0, 0.5),

@@ -260,9 +260,6 @@ def test_a_rule_that_writes_an_outside_letter_is_refused():
             normal_form(word(a, b, a), rel)
         with pytest.raises(UnknownGenerator, match=r"z2\*z1 .*zeta1"):
             multiply(word(b), word(a), rel)
-    # likewise an adjoint image outside the system, when it is built
-    with pytest.raises(UnknownGenerator, match="zeta1 not in relation"):
-        RelationSystem([a, b], {}, star_table={a: zeta(1)})
 
 
 def test_duplicate_generators_check_the_same(moyal_c4):
@@ -271,7 +268,9 @@ def test_duplicate_generators_check_the_same(moyal_c4):
                              moyal_c4.rules, theta=moyal_c4.theta)
     assert doubled.generators == moyal_c4.generators
     assert doubled.generator_set == moyal_c4.generator_set
-    assert doubled.star_table == moyal_c4.star_table
+    for g in gens:
+        assert (adjoint(word(g), doubled).terms
+                == adjoint(word(g), moyal_c4).terms)
     p = word(z(4), z(3), z(1, True))
     assert normal_form(p, doubled).terms == normal_form(p, moyal_c4).terms
     with pytest.raises(UnknownGenerator):
@@ -864,8 +863,7 @@ def _scaled_first_coefficients(rel):
     system on which most probes read a defect."""
     rules = {pair: ((rhs[0][0], rhs[0][1].scale(1.5)), *rhs[1:])
              if rhs else rhs for pair, rhs in rel.rules.items()}
-    return RelationSystem(rel.generators, rules, rel.star_table,
-                          theta=rel.theta)
+    return RelationSystem(rel.generators, rules, theta=rel.theta)
 
 
 @pytest.mark.parametrize("mutant", [False, True])

@@ -10,7 +10,7 @@ quadrature then recovers the integer topological charge.
 import numpy as np
 
 from ncadhm import (
-    ClassicalModel, PointR4, QuadratureSpec, SolveConfig, charge,
+    ClassicalModel, PointR4, SolveConfig, charge,
     curvature_samples, evaluate_projector, solve,
 )
 
@@ -31,8 +31,8 @@ for sample in curvature_samples(d, pts):
 
 print("\n== topological charge ==")
 for res in (6, 8, 12):
-    q = charge(d, QuadratureSpec(resolution=res))
+    q = charge(d, res)
     print(f"  resolution {res:2d}: charge = {q:.6f}")
-q0 = charge(d, QuadratureSpec(resolution=10))
-qt = charge(d.translate(0.4, -0.3j), QuadratureSpec(resolution=10))
+q0 = charge(d, 10)
+qt = charge(d.translate(0.4, -0.3j), 10)
 print(f"  translation stability: {abs(qt - q0) / q0:.2e}")

@@ -34,8 +34,7 @@ from .adhm_solver import (
     gauge_distance, moduli_dimension, solve,
 )
 from .instanton import (
-    ConnectionSample, PointR4, QuadratureSpec, QuadratureBudgetExceeded,
-    SingularRho, charge, curvature_asd, curvature_samples,
-    evaluate_projector, finite_difference_curvature,
-    symbolic_projector_checks,
+    ConnectionSample, PointR4, QuadratureBudgetExceeded, SingularRho, charge,
+    curvature_asd, curvature_samples, evaluate_projector,
+    finite_difference_curvature, quadrature_nodes, symbolic_projector_checks,
 )

@@ -30,8 +30,8 @@ from .adhm_solver import (
     NoConvergence, NotASolution, SolveConfig, moduli_dimension, solve,
 )
 from .instanton import (
-    ASD_TOL, PointR4, QuadratureBudgetExceeded, QuadratureSpec, SingularRho,
-    charge, curvature_samples, symbolic_projector_checks,
+    ASD_TOL, TRACE_TOL, PointR4, QuadratureBudgetExceeded, SingularRho,
+    charge, curvature_samples, quadrature_nodes, symbolic_projector_checks,
 )
 from .monad import ADHMData, adhm_residual, build_monad, monad_residual
 from .star_algebra import C4, R4, RelationSystem, StarAlgebraError
@@ -176,7 +176,7 @@ def _resolution(text) -> int:
     """argparse type for a charge quadrature resolution within the budget."""
     value = _positive_int(text)
     try:
-        QuadratureSpec(resolution=value).node_counts()
+        quadrature_nodes(value)
     except QuadratureBudgetExceeded as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     return value
@@ -291,7 +291,7 @@ def cmd_instanton(args) -> int:
         "asd_tolerance": ASD_TOL,
         "trace_Q_max_error": trace_error,
         "passed": (not args.check_asd) or (worst <= ASD_TOL
-                                           and trace_error <= 1e-10),
+                                           and trace_error <= TRACE_TOL),
     }
     _emit(out, args.out)
     return 0 if out["passed"] else 1
@@ -299,7 +299,7 @@ def cmd_instanton(args) -> int:
 
 def cmd_charge(args) -> int:
     data = _load_classical_data(args.data)
-    q = charge(data, QuadratureSpec(resolution=args.resolution))
+    q = charge(data, args.resolution)
     out = {"charge": q, "resolution": args.resolution,
            "nearest_integer": round(q),
            "deviation": abs(q - round(q))}

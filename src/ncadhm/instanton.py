@@ -46,6 +46,8 @@ class QuadratureBudgetExceeded(Exception):
 SINGULAR_CUTOFF = 1e-10
 # Band of the anti-self-duality residual |F + *F| / |F| at a point.
 ASD_TOL = 1e-6
+# Band of |trace Q - 2k| at a point.
+TRACE_TOL = 1e-10
 QUADRATURE_MAX_POINTS = 5_000_000
 # Points per curvature batch: bounds the n x n x 16 complex F held at once
 # (4 MiB at k=3); every per-point number is independent of the chunking.
@@ -69,8 +71,12 @@ class ConnectionSample:
     V: np.ndarray
     rho2: np.ndarray
     Q: np.ndarray
-    P: np.ndarray
-    asd_residual: float | None = None
+    asd_residual: float | None
+
+    @property
+    def P(self):
+        """The complement 1 - Q, the projector of the instanton."""
+        return np.eye(len(self.Q)) - self.Q
 
 
 def _require_classical(data: ADHMData):
@@ -78,18 +84,14 @@ def _require_classical(data: ADHMData):
         raise ModelMismatch("numeric evaluation needs the classical model")
 
 
-def monad_pair_at(m: MonadMatrices, z1, z2):
-    """The two column blocks of the monad map, broadcast over z1 and z2."""
+def _v_batch(M, z1, z2):
+    """The monad map V = [sigma_(1) | sigma_(2)] of the blocks M = (M1, M2,
+    M3, M4), broadcast over z1 and z2."""
     z1 = np.asarray(z1, dtype=complex)[..., None, None]
     z2 = np.asarray(z2, dtype=complex)[..., None, None]
-    M1, M2, M3, M4 = m.M
+    M1, M2, M3, M4 = M
     s1 = M1 + np.conj(z1) * M3 - z2 * M4
     s2 = M2 + np.conj(z2) * M3 + z1 * M4
-    return s1, s2
-
-
-def _v_batch(m: MonadMatrices, z1, z2):
-    s1, s2 = monad_pair_at(m, z1, z2)
     return np.concatenate([s1, s2], axis=-1)
 
 
@@ -101,16 +103,16 @@ def _projector(V):
     return Vd, Ginv, VG, VG @ Vd
 
 
-# Constant coordinate derivatives of V in (Re z1, Im z1, Re z2, Im z2).
 def _dv_tables(m: MonadMatrices):
-    M3, M4 = m.M[2], m.M[3]
-    # sigma_(1) depends on zeta1* and zeta2, sigma_(2) on zeta2* and zeta1.
-    return [
-        np.hstack([M3, M4]),                # d/d Re zeta1
-        np.hstack([-1j * M3, 1j * M4]),     # d/d Im zeta1
-        np.hstack([-M4, M3]),               # d/d Re zeta2
-        np.hstack([-1j * M4, -1j * M3]),    # d/d Im zeta2
-    ]
+    """The constant derivatives of V in (Re z1, Im z1, Re z2, Im z2).
+
+    V is affine in these coordinates, so each derivative is its linear part
+    at a unit step: V of the blocks (0, 0, M3, M4), not V(e) - V(0), which
+    rounds.
+    """
+    zero = np.zeros_like(m.M[0])
+    return _v_batch((zero, zero, m.M[2], m.M[3]), [1, 1j, 0, 0],
+                    [0, 0, 1, 1j])
 
 
 # The last monad built and its key, held as one (key, monad) tuple so a key
@@ -137,12 +139,10 @@ def _monad_of(data: ADHMData) -> MonadMatrices:
 
 
 def evaluate_projector(data: ADHMData, x: PointR4) -> ConnectionSample:
-    """The rank-2k projector Q and its complement P at one plane point."""
-    V = _v_batch(_monad_of(data), x.zeta1, x.zeta2)
+    """The rank-2k projector Q at one plane point."""
+    V = _v_batch(_monad_of(data).M, x.zeta1, x.zeta2)
     rho2 = _checked_rho2(V[:, :data.k], x)
-    Q = _projector(V)[3]
-    P = np.eye(2 * data.k + 2) - Q
-    return ConnectionSample(x, V, rho2, Q, P)
+    return ConnectionSample(x, V, rho2, _projector(V)[3], None)
 
 
 def _curvature_batch(m: MonadMatrices, z1, z2):
@@ -151,7 +151,7 @@ def _curvature_batch(m: MonadMatrices, z1, z2):
     Valid on solutions, where G = V+V is block diagonal; the general
     projector curvature P[dP, dP]P is used by the finite-difference check.
     """
-    V = _v_batch(m, z1, z2)
+    V = _v_batch(m.M, z1, z2)
     Vd, Ginv, VG, Q = _projector(V)
     n = V.shape[-2]
     P = np.eye(n) - Q
@@ -211,8 +211,7 @@ def _plane_points(data: ADHMData, points):
     z2 = np.array([p.zeta2 for p in points], dtype=complex)
     if z1.size == 0:
         raise ShapeError("no sample points given")
-    s1, _ = monad_pair_at(m, z1, z2)
-    _checked_rho2(s1, "a sample point")
+    _checked_rho2(_v_batch(m.M, z1, z2)[..., :m.k], "a sample point")
     return m, z1, z2
 
 
@@ -255,7 +254,7 @@ def finite_difference_curvature(data: ADHMData, x: PointR4, step):
     m = build_monad(data)
 
     def P_at(v):
-        V = _v_batch(m, v[0] + 1j * v[1], v[2] + 1j * v[3])
+        V = _v_batch(m.M, v[0] + 1j * v[1], v[2] + 1j * v[3])
         return np.eye(V.shape[0]) - _projector(V)[3]
 
     v0 = np.array([x.zeta1.real, x.zeta1.imag, x.zeta2.real, x.zeta2.imag])
@@ -278,23 +277,14 @@ def finite_difference_curvature(data: ADHMData, x: PointR4, step):
 
 # -- topological charge ----------------------------------------------------------
 
-@dataclass
-class QuadratureSpec:
-    resolution: int
-
-    def node_counts(self):
-        """Radial, two polar and periodic node counts, within the budget."""
-        r = self.resolution
-        counts = (4 * r, r, r, 2 * r)
-        points = math.prod(counts)
-        if points > QUADRATURE_MAX_POINTS:
-            raise QuadratureBudgetExceeded(
-                f"{points} quadrature points exceed {QUADRATURE_MAX_POINTS}")
-        return counts
-
-
-def _density(m: MonadMatrices, z1, z2):
-    return _per_point(m, z1, z2, _density_of)
+def quadrature_nodes(resolution: int):
+    """Radial, two polar and periodic node counts, within the budget."""
+    counts = (4 * resolution, resolution, resolution, 2 * resolution)
+    points = math.prod(counts)
+    if points > QUADRATURE_MAX_POINTS:
+        raise QuadratureBudgetExceeded(
+            f"{points} quadrature points exceed {QUADRATURE_MAX_POINTS}")
+    return counts
 
 
 def _density_of(F):
@@ -305,14 +295,14 @@ def _density_of(F):
     return np.real(t) / (4 * np.pi ** 2)
 
 
-def charge(data: ADHMData, quad: QuadratureSpec) -> float:
+def charge(data: ADHMData, resolution: int) -> float:
     """Quadrature of the charge density over the plane.
 
     Product rule: mapped Gauss-Legendre radially, Gauss-Legendre in the two
     polar angles of the three-sphere, trapezoid in the periodic angle.
     """
     _require_classical(data)
-    n_r, n_t1, n_t2, n_p = quad.node_counts()
+    n_r, n_t1, n_t2, n_p = quadrature_nodes(resolution)
     scale = _charge_scale(data)
 
     xs, ws = np.polynomial.legendre.leggauss(n_r)
@@ -338,7 +328,7 @@ def charge(data: ADHMData, quad: QuadratureSpec) -> float:
               * (np.cos(PH) + 1j * np.sin(PH))).ravel()
     total = 0.0
     for ri, dri in zip(r, dr):
-        q = _density(m, ri * omega1, ri * omega2)
+        q = _per_point(m, ri * omega1, ri * omega2, _density_of)
         total += dri * ri ** 3 * float(np.sum(q * W))
     return float(total)
 

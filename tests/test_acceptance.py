@@ -16,7 +16,7 @@ from ncadhm.hopf_twist import (
     crossed_module_residual, derive_relations, two_cocycle_residual, z, zeta,
 )
 from ncadhm.instanton import (
-    PointR4, QuadratureSpec, charge, curvature_asd, evaluate_projector,
+    PointR4, charge, curvature_asd, evaluate_projector,
     finite_difference_curvature, symbolic_projector_checks,
 )
 from ncadhm.instanton import _curvature_batch
@@ -263,12 +263,11 @@ def test_criterion_07_anti_self_duality():
 def test_criterion_08_topological_charge():
     t0 = time.monotonic()
     d = _solved("classical1")
-    q = charge(d, QuadratureSpec(resolution=8))
+    q = charge(d, 8)
     assert 0.99 <= q <= 1.01, q
-    q2 = charge(d, QuadratureSpec(resolution=16))
+    q2 = charge(d, 16)
     assert abs(q2 - q) / abs(q) <= 1e-3, (q, q2)
-    qt = charge(d.translate(0.3 + 0.1j, -0.2 + 0.25j),
-                QuadratureSpec(resolution=16))
+    qt = charge(d.translate(0.3 + 0.1j, -0.2 + 0.25j), 16)
     assert abs(qt - q2) / abs(q2) <= 1e-3, (q2, qt)
     _report(8, "topological charge", t0, 60.0)
 
@@ -296,7 +295,7 @@ def test_criterion_10_gauge_properties():
 
     def projector(mm, p):
         from ncadhm.instanton import _v_batch
-        V = _v_batch(mm, np.array([p.zeta1]), np.array([p.zeta2]))[0]
+        V = _v_batch(mm.M, np.array([p.zeta1]), np.array([p.zeta2]))[0]
         G = V.conj().T @ V
         return np.eye(V.shape[0]) - V @ np.linalg.inv(G) @ V.conj().T
 

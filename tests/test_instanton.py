@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import tracemalloc
 
@@ -11,15 +12,18 @@ from ncadhm.hopf_twist import (
 )
 from ncadhm.instanton import (
     CURVATURE_CHUNK, ModelMismatch, PointR4, QuadratureBudgetExceeded,
-    QuadratureSpec, SingularRho, charge, curvature_asd, curvature_samples,
+    SingularRho, charge, curvature_asd, curvature_samples,
     evaluate_projector, finite_difference_curvature, hodge_star,
     symbolic_projector_checks,
 )
 from ncadhm import instanton
-from ncadhm.instanton import _asd_residuals, _curvature_batch, _density
+from ncadhm.instanton import (
+    _asd_residuals, _curvature_batch, _density_of, _dv_tables, _per_point,
+    _v_batch,
+)
 from ncadhm.monad import (
-    SYMBOLIC_TOL, ADHMData, PolyMatrix, ShapeError, adhm_residual,
-    build_monad,
+    SYMBOLIC_TOL, ADHMData, MonadMatrices, PolyMatrix, ShapeError,
+    adhm_residual, build_monad,
 )
 from ncadhm.star_algebra import (
     MONAD_M, NCPolynomial, RelationSystem, multiply, normal_form,
@@ -89,6 +93,14 @@ def test_projector_matches_batch_and_closed_form(solved_k1, solved_k2):
             rinv = np.linalg.inv(s1.conj().T @ s1)
             Q = s1 @ rinv @ s1.conj().T + s2 @ rinv @ s2.conj().T
             assert np.max(np.abs(s.Q - Q)) < 1e-13
+
+
+def test_p_is_one_minus_q_after_replace(solved_k1):
+    # P is 1 - Q of the sample's own Q, so it follows a replaced Q
+    s = evaluate_projector(solved_k1, PointR4(0.4 + 0.1j, -0.3 + 0.6j))
+    assert np.array_equal(s.P, np.eye(4) - s.Q)
+    Q2 = s.Q + 1e-8 * np.eye(4)
+    assert np.array_equal(dataclasses.replace(s, Q=Q2).P, np.eye(4) - Q2)
 
 
 def test_rho2_matches_dense_oracle(solved_k1):
@@ -174,6 +186,44 @@ def test_finite_difference_cross_check(solved_k1):
     assert rel < 1e-3
 
 
+def _literal_dv_tables(m):
+    """The derivatives of V in (Re z1, Im z1, Re z2, Im z2) as written out
+    by hand before they were derived from _v_batch, kept verbatim as an
+    oracle."""
+    M3, M4 = m.M[2], m.M[3]
+    # sigma_(1) depends on zeta1* and zeta2, sigma_(2) on zeta2* and zeta1.
+    return [
+        np.hstack([M3, M4]),                # d/d Re zeta1
+        np.hstack([-1j * M3, 1j * M4]),     # d/d Im zeta1
+        np.hstack([-M4, M3]),               # d/d Re zeta2
+        np.hstack([-1j * M4, -1j * M3]),    # d/d Im zeta2
+    ]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_dv_tables_match_literal_table_and_central_differences(k):
+    # the golden `solve --seed 3` monad of tests/test_cli.py and a random
+    # complex one; values, not bits: on the solved monads some zeros of the
+    # derived table differ in sign from the literal one
+    n = 2 * k + 2
+    rng = np.random.default_rng(30 + k)
+    golden = build_monad(solve(k, ClassicalModel(), cfg=SolveConfig(
+        rng_seed=3, tolerance=1e-12 if k == 1 else 1e-10)))
+    rand = MonadMatrices(k, [rng.standard_normal((n, k))
+                             + 1j * rng.standard_normal((n, k))
+                             for _ in range(4)], [np.zeros((k, n))] * 4)
+    z1, z2, h = 0.3 - 0.7j, -1.1 + 0.4j, 1e-3
+    steps = [(h, 0), (1j * h, 0), (0, h), (0, 1j * h)]
+    for m in (golden, rand):
+        dv = _dv_tables(m)
+        assert len(dv) == 4
+        for d, ref, (e1, e2) in zip(dv, _literal_dv_tables(m), steps):
+            assert np.array_equal(d, ref)
+            fd = (_v_batch(m.M, z1 + e1, z2 + e2)
+                  - _v_batch(m.M, z1 - e1, z2 - e2)) / (2 * h)
+            assert np.max(np.abs(d - fd)) < 1e-9
+
+
 def test_gauge_w_invariance(solved_k1):
     rng = np.random.default_rng(11)
     pts = random_points(5, seed=4)
@@ -191,8 +241,7 @@ def test_gauge_w_invariance(solved_k1):
 
 
 def _v(m, p):
-    from ncadhm.instanton import _v_batch
-    return _v_batch(m, np.array([p.zeta1]), np.array([p.zeta2]))[0]
+    return _v_batch(m.M, np.array([p.zeta1]), np.array([p.zeta2]))[0]
 
 
 def test_gauge_u_conjugation(solved_k1):
@@ -230,19 +279,18 @@ def test_density_matches_bpst_closed_form(solved_k1):
         r2 = (np.abs(z1 + np.conj(d.B1[0, 0])) ** 2
               + np.abs(z2 - d.B2[0, 0]) ** 2)
         bpst = 6 / np.pi ** 2 * rho2 ** 2 / (r2 + rho2) ** 4
-        q = _density(build_monad(d), z1, z2)
+        q = _per_point(build_monad(d), z1, z2, _density_of)
         assert np.max(np.abs(q - bpst) / bpst) < 1e-12
 
 
 def test_charge_unit(solved_k1):
-    q = charge(solved_k1, QuadratureSpec(resolution=10))
+    q = charge(solved_k1, 10)
     assert 0.99 <= q <= 1.01
 
 
 def test_charge_translation_stability(solved_k1):
-    q0 = charge(solved_k1, QuadratureSpec(resolution=10))
-    q1 = charge(solved_k1.translate(0.3 + 0.1j, -0.2 + 0.2j),
-                QuadratureSpec(resolution=10))
+    q0 = charge(solved_k1, 10)
+    q1 = charge(solved_k1.translate(0.3 + 0.1j, -0.2 + 0.2j), 10)
     assert abs(q1 - q0) / abs(q0) <= 1e-3
 
 
@@ -251,7 +299,7 @@ def test_charge_budget():
     d.I[0, 0] = 1.0
     d.J[1, 0] = 1.0
     with pytest.raises(QuadratureBudgetExceeded):
-        charge(d, QuadratureSpec(resolution=80))
+        charge(d, 80)
 
 
 @pytest.mark.parametrize("model,seed", [

@@ -280,9 +280,11 @@ def cmd_instanton(args) -> int:
     rng = np.random.default_rng(args.seed)
     pts = [PointR4(complex(a, b), complex(c, d))
            for a, b, c, d in rng.standard_normal((args.points, 4)).tolist()]
-    samples = curvature_samples(data, pts)
-    worst = max(s.asd_residual for s in samples)
-    traces = [float(np.trace(s.Q).real) for s in samples]
+    residuals, traces = [], []
+    for s in curvature_samples(data, pts):
+        residuals.append(s.asd_residual)
+        traces.append(float(np.trace(s.Q).real))
+    worst = max(residuals)
     trace_error = float(max(abs(t - 2 * data.k) for t in traces))
     out = {
         "points": args.points,

@@ -50,8 +50,8 @@ ASD_TOL = 1e-6
 TRACE_TOL = 1e-10
 QUADRATURE_MAX_POINTS = 5_000_000
 # Points per curvature batch: bounds the n x n x 16 complex F held at once
-# (4 MiB at k=3); every per-point number is independent of the chunking.
-CURVATURE_CHUNK = 256
+# (2 MiB at k=3); every per-point number is independent of the chunking.
+CURVATURE_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,9 @@ class PointR4:
     zeta2: complex
 
     def __post_init__(self):
-        if not (np.isfinite(complex(self.zeta1))
-                and np.isfinite(complex(self.zeta2))):
+        z1, z2 = complex(self.zeta1), complex(self.zeta2)
+        if not (math.isfinite(z1.real) and math.isfinite(z1.imag)
+                and math.isfinite(z2.real) and math.isfinite(z2.imag)):
             raise ShapeError("point coordinates must be finite")
 
 
@@ -178,26 +179,26 @@ _HODGE = [((0, 1), (2, 3), -1.0), ((0, 2), (1, 3), +1.0),
           ((0, 3), (1, 2), -1.0)]
 
 
-def hodge_star(F):
-    out = np.zeros_like(F)
-    for (a, b), (c, d), s in _HODGE:
-        out[:, a, b] = s * F[:, c, d]
-        out[:, b, a] = -out[:, a, b]
-        out[:, c, d] = s * F[:, a, b]
-        out[:, d, c] = -out[:, c, d]
-    return out
-
-
 def _asd_residuals(F):
-    S = F + hodge_star(F)
-    num = np.sqrt(np.sum(np.abs(S) ** 2, axis=(1, 2, 3, 4)))
-    den = np.sqrt(np.sum(np.abs(F) ** 2, axis=(1, 2, 3, 4)))
+    """|F + *F| / |F| per point (0 where F = 0). F is consumed: it becomes
+    F + *F one Hodge pair at a time, and both norms sum over the same
+    (c, 4, 4, n, n) layout, so they keep their bits."""
+    sq = np.abs(F)
+    den = np.sqrt(np.sum(np.square(sq, out=sq), axis=(1, 2, 3, 4)))
+    for (a, b), (c, d), s in _HODGE:
+        fab = F[:, a, b].copy()
+        F[:, a, b] += s * F[:, c, d]
+        F[:, b, a] = -F[:, a, b]
+        F[:, c, d] += s * fab
+        F[:, d, c] = -F[:, c, d]
+    num = np.sqrt(np.sum(np.square(np.abs(F, out=sq), out=sq),
+                         axis=(1, 2, 3, 4)))
     den[den == 0] = 1.0
     return num / den
 
 
 def _per_point(m: MonadMatrices, z1, z2, reduce):
-    """reduce(F) over chunks of CURVATURE_CHUNK points, concatenated."""
+    """reduce(F) over CURVATURE_CHUNK-point chunks; reduce may consume F."""
     return np.concatenate([
         reduce(_curvature_batch(m, z1[i:i + CURVATURE_CHUNK],
                                 z2[i:i + CURVATURE_CHUNK])[0])
@@ -211,7 +212,9 @@ def _plane_points(data: ADHMData, points):
     z2 = np.array([p.zeta2 for p in points], dtype=complex)
     if z1.size == 0:
         raise ShapeError("no sample points given")
-    _checked_rho2(_v_batch(m.M, z1, z2)[..., :m.k], "a sample point")
+    for i in range(0, len(z1), CURVATURE_CHUNK):
+        c = slice(i, i + CURVATURE_CHUNK)
+        _checked_rho2(_v_batch(m.M, z1[c], z2[c])[..., :m.k], "a sample point")
     return m, z1, z2
 
 
@@ -224,19 +227,23 @@ def curvature_asd(data: ADHMData, points) -> Report:
 
 
 def curvature_samples(data: ADHMData, points):
-    """ConnectionSamples with per-point ASD residuals.
+    """An iterator of ConnectionSamples with per-point ASD residuals.
 
     A sample carries the residual of the curvature at its point, not the
     curvature itself. One monad, built once from the data, serves every
-    point.
+    point. Points are checked and every residual computed at the call, so
+    ShapeError and SingularRho raise there; each sample is built as it is
+    read, from a copy of the data as passed.
     """
     res = _per_point(*_plane_points(data, points), _asd_residuals)
-    out = []
-    for p, r in zip(points, res):
-        sample = evaluate_projector(data, p)
-        sample.asd_residual = float(r)
-        out.append(sample)
-    return out
+    data = data.copy()
+
+    def samples():
+        for p, r in zip(points, res):
+            sample = evaluate_projector(data, p)
+            sample.asd_residual = float(r)
+            yield sample
+    return samples()
 
 
 def _checked_rho2(s1, where):

@@ -1,13 +1,17 @@
 """Run the narrative demos end to end, so a renamed or deleted public name
-cannot break one silently.  ``04_instanton_curvature.py`` is left out: its
-charge quadrature alone takes about 16 s."""
+cannot break one silently.  ``04_instanton_curvature.py`` is not run: its
+charge quadrature alone takes about 16 s.  Its imports from ``ncadhm`` are
+checked instead."""
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import ncadhm
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ["01_deformed_relations.py", "02_twistor_checks.py",
@@ -22,3 +26,12 @@ def test_demo_runs(name):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_instanton_demo_imports_exist():
+    tree = ast.parse((ROOT / "demos" / "04_instanton_curvature.py").read_text())
+    names = [a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "ncadhm"
+             for a in node.names]
+    assert "curvature_samples" in names
+    assert [n for n in names if not hasattr(ncadhm, n)] == []

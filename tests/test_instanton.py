@@ -13,7 +13,7 @@ from ncadhm.hopf_twist import (
 from ncadhm.instanton import (
     CURVATURE_CHUNK, ModelMismatch, PointR4, QuadratureBudgetExceeded,
     SingularRho, charge, curvature_asd, curvature_samples,
-    evaluate_projector, finite_difference_curvature, hodge_star,
+    evaluate_projector, finite_difference_curvature,
     symbolic_projector_checks,
 )
 from ncadhm import instanton
@@ -118,6 +118,15 @@ def test_projector_needs_classical_model():
         evaluate_projector(d, PointR4(0.0, 0.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_point_with_a_non_finite_part_is_a_shape_error(bad):
+    for part in range(4):
+        x = [0.3, 0.1, -0.2, 0.4]
+        x[part] = bad
+        with pytest.raises(ShapeError, match="finite"):
+            PointR4(complex(x[0], x[1]), complex(x[2], x[3]))
+
+
 def test_singular_rho_guard():
     d = ADHMData.zero(1, ClassicalModel())  # zero-size cone point
     with pytest.raises(SingularRho):
@@ -126,12 +135,14 @@ def test_singular_rho_guard():
 
 @pytest.mark.parametrize("evaluate", [curvature_asd, curvature_samples])
 def test_singular_rho_guard_on_point_batches(evaluate):
-    # the origin among regular points: the batched guard rejects the batch
+    # the origin among regular points, in the first chunk or the second:
+    # the guard rejects the batch at the call
     d = ADHMData.zero(1, ClassicalModel())
-    points = random_points(5, seed=4)
-    points.insert(2, PointR4(0.0, 0.0))
-    with pytest.raises(SingularRho):
-        evaluate(d, points)
+    for at in (2, CURVATURE_CHUNK + 3):
+        points = random_points(CURVATURE_CHUNK + 5, seed=4)
+        points.insert(at, PointR4(0.0, 0.0))
+        with pytest.raises(SingularRho):
+            evaluate(d, points)
 
 
 def test_asd_residual_small_on_solutions(solved_k1, solved_k2):
@@ -163,6 +174,26 @@ def test_chunked_residuals_match_one_batch(solved_k2):
     assert np.array_equal(res, ref)
     worst = curvature_asd(solved_k2, pts)["asd_max_residual"].residual
     assert worst == ref.max()
+
+
+def test_streamed_samples_memory_is_bounded(solved_k2):
+    # the samples are built as they are read and each chunk's F is reduced
+    # in place: the peak does not grow with the points.  Built as a list,
+    # with F, *F and F + *F held per 256-point chunk, the samples peaked at
+    # 5.7 MiB over 2,000 points and 11.9 MiB over 8,000
+    pts = random_points(8000, seed=9)
+    peaks = []
+    for n in (2000, 8000):
+        batch = pts[:n]
+        tracemalloc.start()
+        try:
+            for _ in curvature_samples(solved_k2, batch):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2 ** 20
+    assert peaks[1] < 4 * 2 ** 20
 
 
 def test_curvature_asd_memory_is_bounded(solved_k2):
@@ -442,10 +473,54 @@ def test_reduced_centrality_check_sees_column_2():
                         swap, model.theta)
 
 
+def _hodge_star(F):
+    """*F over the Hodge pairs, as a separate array: the dual that
+    _asd_residuals formed before it summed F + *F in place, kept verbatim
+    as an oracle."""
+    out = np.zeros_like(F)
+    for (a, b), (c, d), s in instanton._HODGE:
+        out[:, a, b] = s * F[:, c, d]
+        out[:, b, a] = -out[:, a, b]
+        out[:, c, d] = s * F[:, a, b]
+        out[:, d, c] = -out[:, c, d]
+    return out
+
+
+def _literal_asd_residuals(F):
+    num = np.sqrt(np.sum(np.abs(F + _hodge_star(F)) ** 2, axis=(1, 2, 3, 4)))
+    den = np.sqrt(np.sum(np.abs(F) ** 2, axis=(1, 2, 3, 4)))
+    den[den == 0] = 1.0
+    return num / den
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_in_place_asd_residuals_match_the_hodge_star_formula(k):
+    # bit for bit, on points spanning three chunks of a solved monad and a
+    # random one, with one all-zero F row for the den == 0 branch
+    n = 2 * k + 2
+    rng = np.random.default_rng(40 + k)
+    rand = MonadMatrices(k, [rng.standard_normal((n, k))
+                             + 1j * rng.standard_normal((n, k))
+                             for _ in range(4)], [np.zeros((k, n))] * 4)
+    solved = build_monad(solve(k, ClassicalModel(), cfg=SolveConfig(
+        rng_seed=3, tolerance=1e-12 if k == 1 else 1e-10)))
+    pts = random_points(2 * CURVATURE_CHUNK + 37, seed=13)
+    z1 = np.array([p.zeta1 for p in pts])
+    z2 = np.array([p.zeta2 for p in pts])
+    for m in (solved, rand):
+        F = _curvature_batch(m, z1, z2)[0]
+        assert np.array_equal(_per_point(m, z1, z2, _asd_residuals),
+                              _literal_asd_residuals(F))
+        F[5] = 0.0
+        ref = _literal_asd_residuals(F)
+        assert ref[5] == 0.0
+        assert np.array_equal(_asd_residuals(F.copy()), ref)
+
+
 def test_hodge_star_involution(solved_k1):
     m = build_monad(solved_k1)
     F, _ = _curvature_batch(m, np.array([0.2 + 0.1j]), np.array([0.5 - 0.3j]))
-    assert np.allclose(hodge_star(hodge_star(F)), F)
+    assert np.allclose(_hodge_star(_hodge_star(F)), F)
     # antisymmetry of the curvature components
     for mu in range(4):
         for nu in range(4):
@@ -464,12 +539,27 @@ def test_empty_point_list_is_a_shape_error(solved_k1):
 def test_sample_follows_in_place_edit(solved_k1):
     d = solved_k1.copy()
     p = PointR4(0.3 + 0.1j, -0.2 + 0.4j)
-    curvature_samples(d, [p])
+    list(curvature_samples(d, [p]))
     d.I[0, 0] += 1e-3
-    s = curvature_samples(d, [p])[0]
+    s = next(curvature_samples(d, [p]))
     ref = evaluate_projector(d.copy(), p)
     for name in ("V", "Q", "P"):
         assert np.array_equal(getattr(s, name), getattr(ref, name))
+
+
+def test_samples_describe_the_data_as_passed(solved_k2):
+    # an in-place edit between the call and the first read does not reach
+    # the samples, which are built lazily
+    d = solved_k2.copy()
+    original = d.copy()
+    pts = random_points(3, seed=14)
+    samples = curvature_samples(d, pts)
+    d.I[0, 0] += 1e-3
+    d.B1[1, 0] = np.inf
+    for p, s in zip(pts, samples, strict=True):
+        ref = evaluate_projector(original.copy(), p)
+        for name in ("V", "rho2", "Q", "P"):
+            assert np.array_equal(getattr(s, name), getattr(ref, name))
 
 
 def test_in_place_non_finite_edit_is_rejected(solved_k1):
@@ -490,7 +580,7 @@ def test_one_monad_per_data_content(solved_k2, monkeypatch):
 
     monkeypatch.setattr(instanton, "build_monad", counting)
     pts = random_points(300, seed=11)
-    curvature_samples(solved_k2, pts)
+    list(curvature_samples(solved_k2, pts))
     assert len(builds) <= 1
-    curvature_samples(solved_k2.copy(), pts[:5])
+    list(curvature_samples(solved_k2.copy(), pts[:5]))
     assert len(builds) <= 1

@@ -3,9 +3,10 @@
 Two concrete models drive the deformations: translations of the plane (the
 Heisenberg-type deformation, parameters ``hbar, alpha, beta``) and a
 two-torus of rotations (phase deformation, parameter ``theta``).  Each model
-knows the coactions of every supported generator family, evaluates its
-twisting two-cocycle F and the induced R-matrix, computes twisted products
-of classical polynomials, and derives complete rewrite systems from them.
+knows the coactions of every supported generator family and evaluates its
+twisting two-cocycle F and the induced R-matrix.  Complete rewrite systems
+are derived from the R-matrix; twisted products of classical polynomials
+are kept as the independent check of those rules.
 
 Each comodule structure is written down once, as a module table: the
 translation coaction in ``_MOYAL_COACTION`` and the torus weights in
@@ -16,9 +17,9 @@ A model is immutable after construction: its parameters never change, and
 it expands each letter's coaction, each word's coaction and each cocycle
 value once, on first use, into values that every later call shares.  A
 relation derivation likewise derives the rule of two monad letter families
-once per cell relation, relabels it onto every pair of cells, and
-evaluates each deformed word once.  A smash system derives the rule of a
-pair when its rewrite engine first meets the pair.
+once per cell relation and relabels it onto every pair of cells.  A smash
+system derives the rule of a pair when its rewrite engine first meets the
+pair.
 
 The sign of the torus cocycle is the convention under which the phase
 matrix of the deformed coordinates comes out with
@@ -41,7 +42,7 @@ from .star_algebra import (
     C4, HOPF_TORUS, HOPF_TRANS, MONAD_M, R4,
     Coefficient, GeneratorId, NCPolynomial, NonConfluent, RelationSystem,
     StarAlgebraError, associativity_residual, classical_normal_form_word,
-    deglex_key, leading_term, star_closure_residual,
+    deglex_key, star_closure_residual,
 )
 
 
@@ -684,56 +685,6 @@ def twist_product(model: TwistModel, a: NCPolynomial,
     return out
 
 
-def _twist_eval_word(model: TwistModel, word, twisted) -> NCPolynomial:
-    """Evaluate a word of the deformed algebra as a classical polynomial.
-
-    The word is the twisted product of its letters from the left; each
-    prefix is looked up in, or else evaluated into, the memo ``twisted``.
-    """
-    q = twisted.get(word)
-    if q is None:
-        q = twisted[word] = NCPolynomial.one() if not word else twist_product(
-            model, _twist_eval_word(model, word[:-1], twisted),
-            NCPolynomial.from_generator(word[-1]))
-    return q
-
-
-def express_in_deformed_basis(model: TwistModel, x: NCPolynomial, twisted):
-    """Rewrite a classical polynomial as a combination of deformed words.
-
-    Greedy triangular elimination against the quantisation map: the leading
-    classical term of each deformed word is the word itself, up to an
-    invertible phase (a pure mu-power for the torus model).  ``twisted``
-    maps deformed words of ``model`` to their classical evaluation; the
-    words evaluated here are added to it, and no polynomial in it changes.
-    """
-    out = []
-    merged = {}
-    x = x.copy()
-    guard = 0
-    while x.terms:
-        guard += 1
-        if guard > 10000:
-            raise NonConfluent("deformed-basis expansion did not terminate")
-        (w, h, m), v = leading_term(x)
-        q = _twist_eval_word(model, w, twisted)
-        qkeys = [k for k in q.terms if k[0] == w]
-        if len(qkeys) != 1 or qkeys[0][1] != 0:
-            raise NonConfluent(f"word {w} has no invertible leading phase")
-        _, _, mq = qkeys[0]
-        qv = q.terms[qkeys[0]]
-        c = Coefficient(v / qv, h, m - mq)
-        key = (w, c.hbar, c.mu2)
-        merged[key] = merged.get(key, 0.0) + c.value
-        x = x - q.scale_coeff(c)
-    for (w, h, m), v in sorted(merged.items(),
-                               key=lambda kv: (deglex_key(kv[0][0]),
-                                               kv[0][1], kv[0][2])):
-        if abs(v) > 1e-15:
-            out.append((w, Coefficient(v, h, m)))
-    return out
-
-
 # -- relation-system construction ---------------------------------------------
 
 def _validate(rel: RelationSystem):
@@ -760,10 +711,37 @@ def _is_default_rule(g, h, rhs):
     return abs(c.value - sign) <= 1e-14
 
 
-def _derived_rule(model, g, h, twisted):
-    x = twist_product(model, NCPolynomial.from_generator(g),
-                      NCPolynomial.from_generator(h))
-    return tuple(express_in_deformed_basis(model, x, twisted))
+def _pair_rule(model, g, h):
+    """The rule ``g h = sum (-1)^(|g||h|) c_g c_h R(h_-1, g_-1) h_0 g_0``.
+
+    The twisted algebra of a cotriangular twist is braided-commutative,
+    with the R-matrix built from the cocycle F, so each rule is one sum
+    over the coaction legs of g and of h.  Terms sharing a graded word and
+    formal exponents are summed, and the rule is listed in deglex order.
+    """
+    s = -1 if g.grade and h.grade else 1
+    merged = {}
+    for cg, hg, xg in model.coaction(g):
+        for ch, hh, xh in model.coaction(h):
+            r = r_matrix(model, hh, hg)
+            if r.value == 0:
+                continue
+            nf = classical_normal_form_word(
+                tuple(x for x in (xh, xg) if x is not None))
+            if nf is None:
+                continue
+            sign, w = nf
+            key = (w, r.hbar, r.mu2)
+            # a Python complex: a conjugated leg's coefficient is a numpy
+            # scalar
+            merged[key] = merged.get(key, 0.0) + complex(
+                s * sign * cg * ch * r.value)
+    rule = []
+    for w, hb, mu2 in sorted(merged, key=lambda key: (deglex_key(key[0]),
+                                                      *key[1:])):
+        if abs(merged[w, hb, mu2]) > 1e-15:
+            rule.append((w, Coefficient(merged[w, hb, mu2], hb, mu2)))
+    return tuple(rule)
 
 
 class _PairRules(Mapping):
@@ -803,7 +781,6 @@ class _PairRules(Mapping):
         self._cells = (cells[0], cells[1 % len(cells)]) if cells else None
         self._moved = {}    # (letter, cell) -> the letter in that cell
         self._classes = {}  # representative pair -> its rule, None if default
-        self._twisted = {}  # each deformed word evaluated once for all classes
         # pair -> its rule, None if default, as met; once complete, every
         # rule in key order and no default
         self._rules = {}
@@ -845,7 +822,7 @@ class _PairRules(Mapping):
               (second, first) if gc > hc else (first, second))
         rep = (self._move(g, rc[0]), self._move(h, rc[1]))
         if rep not in self._classes:
-            rhs = _derived_rule(self._model, *rep, self._twisted)
+            rhs = _pair_rule(self._model, *rep)
             self._classes[rep] = None if _is_default_rule(*rep, rhs) else rhs
         rhs = self._classes[rep]
         if rhs is not None and rc != (gc, hc):

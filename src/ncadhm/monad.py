@@ -415,26 +415,3 @@ def _primed_product(model, hg, key, tilde, rel):
             out = out + multiply(tilde[(j2, a, b, conj)], tail,
                                  rel).scale_coeff(c)
     return out
-
-
-def tilde_coinvariance_residual(model: TwistModel) -> float:
-    """Defect of delta_R(T) = T (x) 1 for every tilde generator.
-
-    The right coaction id (x) Delta acts on the Hopf tails; re-expressing
-    each tilde generator's smash image in the commuting basis must leave a
-    unit tail, which is exactly the coinvariance statement.  Group-like
-    tails make this an exact phase computation for the torus model.
-    """
-    worst = 0.0
-    for j in range(1, 5):
-        tails = {}
-        for c, s, hm in model.tilde_words(j):
-            for c2, s2, hm2 in model.tilde_decompose(s, hm):
-                key = (s2, hm2)
-                tails[key] = tails.get(key, 0.0) + c * c2
-        for (s2, hm2), v in tails.items():
-            if abs(v) < 1e-14:
-                continue
-            expected = 1.0 if (s2 == j and hm2.is_unit()) else 0.0
-            worst = max(worst, abs(v - expected))
-    return worst

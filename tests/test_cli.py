@@ -811,16 +811,16 @@ def test_relations_derivation_error_exits_2_before_any_output(
     from ncadhm import hopf_twist
     from ncadhm.star_algebra import NonConfluent
 
-    derived = hopf_twist._derived_rule
+    derived = hopf_twist._pair_rule
     calls = []
 
-    def failing(model, g, h, twisted):
+    def failing(model, g, h):
         calls.append((g, h))
         if len(calls) == 40:
             raise NonConfluent("no rule for this pair")
-        return derived(model, g, h, twisted)
+        return derived(model, g, h)
 
-    monkeypatch.setattr(hopf_twist, "_derived_rule", failing)
+    monkeypatch.setattr(hopf_twist, "_pair_rule", failing)
     assert run(["relations", "--model", "moyal", "--hbar", "0.2",
                 "--space", "MonadM", "--k", "1"]) == 2
     captured = capsys.readouterr()

@@ -7,16 +7,15 @@ from ncadhm import hopf_twist
 from ncadhm.hopf_twist import (
     S1, S2, T1, T1S, T2, T2S, TORUS_UNIT, TRANS_UNIT, VARSIGMA,
     ClassicalModel, MissingCoaction, ModelMismatch, MoyalModel, ToricModel,
-    TorusMonomial, TransMonomial, bicharacter_residual,
+    TorusMonomial, TransMonomial, TwistModel, bicharacter_residual,
     cotriangularity_residual, crossed_module_residual, derive_relations,
-    express_in_deformed_basis, model_from_json, monad_m, r_matrix,
-    smash_relations, twist_product, two_cocycle_residual, z, zeta,
-    _derived_rule, _is_default_rule, _twist_eval_word, _validate,
+    model_from_json, monad_m, r_matrix, smash_relations, twist_product,
+    two_cocycle_residual, z, zeta, _is_default_rule, _validate,
 )
 from ncadhm.star_algebra import (
     C4, HOPF_TORUS, HOPF_TRANS, MONAD_M, R4, Coefficient, GeneratorId,
-    NCPolynomial, UnknownGenerator, multiply, normal_form,
-    star_closure_residual,
+    NCPolynomial, NonConfluent, UnknownGenerator, deglex_key, leading_term,
+    multiply, normal_form, star_closure_residual,
 )
 
 from monad_symmetry import (
@@ -393,6 +392,69 @@ def test_coaction_legs_are_memoised_immutable_tuples(kind):
         hash(legs)  # immutable all the way down
 
 
+# -- the reference derivation ---------------------------------------------------
+#
+# The rules were first derived by twisting: the twisted product g ._F h of
+# two letters, rewritten over the deformed words by triangular elimination.
+# The runtime now writes each rule from the R-matrix in one sum; these three
+# functions are that first derivation, kept verbatim as its oracle.
+
+def _twist_eval_word(model: TwistModel, word, twisted) -> NCPolynomial:
+    """Evaluate a word of the deformed algebra as a classical polynomial.
+
+    The word is the twisted product of its letters from the left; each
+    prefix is looked up in, or else evaluated into, the memo ``twisted``.
+    """
+    q = twisted.get(word)
+    if q is None:
+        q = twisted[word] = NCPolynomial.one() if not word else twist_product(
+            model, _twist_eval_word(model, word[:-1], twisted),
+            NCPolynomial.from_generator(word[-1]))
+    return q
+
+
+def express_in_deformed_basis(model: TwistModel, x: NCPolynomial, twisted):
+    """Rewrite a classical polynomial as a combination of deformed words.
+
+    Greedy triangular elimination against the quantisation map: the leading
+    classical term of each deformed word is the word itself, up to an
+    invertible phase (a pure mu-power for the torus model).  ``twisted``
+    maps deformed words of ``model`` to their classical evaluation; the
+    words evaluated here are added to it, and no polynomial in it changes.
+    """
+    out = []
+    merged = {}
+    x = x.copy()
+    guard = 0
+    while x.terms:
+        guard += 1
+        if guard > 10000:
+            raise NonConfluent("deformed-basis expansion did not terminate")
+        (w, h, m), v = leading_term(x)
+        q = _twist_eval_word(model, w, twisted)
+        qkeys = [k for k in q.terms if k[0] == w]
+        if len(qkeys) != 1 or qkeys[0][1] != 0:
+            raise NonConfluent(f"word {w} has no invertible leading phase")
+        _, _, mq = qkeys[0]
+        qv = q.terms[qkeys[0]]
+        c = Coefficient(v / qv, h, m - mq)
+        key = (w, c.hbar, c.mu2)
+        merged[key] = merged.get(key, 0.0) + c.value
+        x = x - q.scale_coeff(c)
+    for (w, h, m), v in sorted(merged.items(),
+                               key=lambda kv: (deglex_key(kv[0][0]),
+                                               kv[0][1], kv[0][2])):
+        if abs(v) > 1e-15:
+            out.append((w, Coefficient(v, h, m)))
+    return out
+
+
+def _derived_rule(model, g, h, twisted):
+    x = twist_product(model, NCPolynomial.from_generator(g),
+                      NCPolynomial.from_generator(h))
+    return tuple(express_in_deformed_basis(model, x, twisted))
+
+
 @pytest.mark.parametrize("kind", ["moyal", "toric"])
 def test_deformed_basis_never_changes_a_memoised_word(kind, request):
     model = request.getfixturevalue(kind)
@@ -423,8 +485,8 @@ def test_solve_config_validation():
 
 
 def _reference_pair_rules(model, gens):
-    """The per-pair derivation before each class's rule was relabelled onto
-    its pairs, kept verbatim as a reference."""
+    """The per-pair derivation by twisting, before each class's rule was
+    relabelled onto its pairs, kept verbatim as a reference."""
     gens = sorted(gens, key=lambda g: g.sort_key)
     rules = {}
     twisted = {}  # each deformed word evaluated once for all pairs
@@ -532,13 +594,12 @@ def test_lazy_smash_rules_match_the_eager_reference(kind, k, include_monad,
 def test_a_lazy_rule_that_writes_an_outside_letter_raises(monkeypatch):
     # the smash system is built without deriving the rule; the engine
     # derives it when it first meets the pair, and refuses the letter
-    derived = hopf_twist._derived_rule
+    derived = hopf_twist._pair_rule
 
-    def outside(model, g, h, twisted):
-        return derived(model, g, h, twisted) + (((zeta(1),),
-                                                  Coefficient(1.0)),)
+    def outside(model, g, h):
+        return derived(model, g, h) + (((zeta(1),), Coefficient(1.0)),)
 
-    monkeypatch.setattr(hopf_twist, "_derived_rule", outside)
+    monkeypatch.setattr(hopf_twist, "_pair_rule", outside)
     rel = smash_relations(MoyalModel(0.1, 1.0, 2.1), 0)
     with pytest.raises(UnknownGenerator, match=r"z2\*z1 writes a letter"):
         normal_form(NCPolynomial.from_word((z(2), z(1))), rel)
@@ -548,13 +609,66 @@ def test_a_key_error_inside_a_lazy_derivation_is_not_a_missing_rule(
         monkeypatch):
     # a lookup that fails inside the derivation raises; the pair is not
     # taken for one that commutes
-    def failing(model, g, h, twisted):
+    def failing(model, g, h):
         raise KeyError("a table entry")
 
-    monkeypatch.setattr(hopf_twist, "_derived_rule", failing)
+    monkeypatch.setattr(hopf_twist, "_pair_rule", failing)
     rel = smash_relations(MoyalModel(0.1, 1.0, 2.1), 0)
     with pytest.raises(KeyError, match="a table entry"):
         normal_form(NCPolynomial.from_word((z(2), z(1))), rel)
+
+
+# The model parameters of the oracle test: deformed, and at the parameters
+# where the deformation vanishes and every rule is a transposition.
+ORACLE_MODELS = {
+    "moyal-0.2-1-0.5": (lambda: MoyalModel(0.2, 1.0, 0.5), True),
+    "moyal-0.1-1-2.1": (lambda: MoyalModel(0.1, 1.0, 2.1), True),
+    "moyal-alpha=beta": (lambda: MoyalModel(0.2, 1.0, 1.0), True),
+    "moyal-hbar=0": (lambda: MoyalModel(0.0, 1.0, 1.0), False),
+    "torus-0.3": (lambda: ToricModel(0.3), True),
+    "torus-0": (lambda: ToricModel(0.0), False),
+}
+
+
+def _cli_systems(model):
+    """The pair rules of every system the CLI builds for ``model``, each
+    derived in full: C4 and R4 with and without the calculus, and MonadM at
+    k = 1-3.  The smash systems at k = 0-2 derive their rules on C4 without
+    the calculus and on MonadM at k = 1-2, so they are covered too."""
+    systems = {(space, calculus): model.generators(space, calculus=calculus)
+               for space in (C4, R4) for calculus in (True, False)}
+    systems.update({(MONAD_M, k): model.generators(MONAD_M, k=k)
+                    for k in (1, 2, 3)})
+    return {name: dict(hopf_twist._pair_rules(model, gens))
+            for name, gens in systems.items()}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_MODELS))
+def test_r_matrix_rules_match_the_twisted_product_oracle(name, monkeypatch):
+    # The rules written from the R-matrix are the rules of the twisted
+    # product, bit for bit; with the arguments of R swapped, every rule
+    # system of a deformed model changes.  Both sides relabel each class's
+    # rule onto its pairs; the reference-loop tests above check that step.
+    make, deformed = ORACLE_MODELS[name]
+    got = _cli_systems(make())
+    model, twisted = make(), {}
+    with monkeypatch.context() as patch:
+        patch.setattr(hopf_twist, "_pair_rule", lambda model, g, h:
+                      _derived_rule(model, g, h, twisted))
+        want = _cli_systems(model)
+    for system in want:
+        _assert_same_rules(got[system], want[system])
+        assert got[system] or not deformed, system
+
+    def swapped(model, h, g):
+        return r_matrix(model, g, h)
+
+    monkeypatch.setattr(hopf_twist, "r_matrix", swapped)
+    mutant = _cli_systems(make())
+    for system, rules in mutant.items():
+        changed = [_rhs_bits(rhs) for rhs in rules.values()] != \
+            [_rhs_bits(rhs) for rhs in want[system].values()]
+        assert changed == deformed, system
 
 
 @pytest.mark.parametrize("kind", list(RELABEL_MODELS))

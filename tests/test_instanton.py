@@ -23,10 +23,10 @@ from ncadhm.instanton import (
 )
 from ncadhm.monad import (
     SYMBOLIC_TOL, ADHMData, MonadMatrices, PolyMatrix, ShapeError,
-    adhm_residual, build_monad,
+    adhm_residual, bosonise_j_map, bosonise_monad, build_monad,
 )
 from ncadhm.star_algebra import (
-    MONAD_M, NCPolynomial, RelationSystem, multiply, normal_form,
+    C4, MONAD_M, NCPolynomial, RelationSystem, multiply, normal_form,
 )
 
 from monad_symmetry import (
@@ -253,6 +253,54 @@ def test_dv_tables_match_literal_table_and_central_differences(k):
             fd = (_v_batch(m.M, z1 + e1, z2 + e2)
                   - _v_batch(m.M, z1 - e1, z2 - e2)) / (2 * h)
             assert np.max(np.abs(d - fd)) < 1e-9
+
+
+def _sigma2_sign_mutant(M, z1, z2):
+    """_v_batch with the sign of z1 M4 in sigma_(2) flipped."""
+    z1 = np.asarray(z1, dtype=complex)[..., None, None]
+    z2 = np.asarray(z2, dtype=complex)[..., None, None]
+    M1, M2, M3, M4 = M
+    s1 = M1 + np.conj(z1) * M3 - z2 * M4
+    s2 = M2 + np.conj(z2) * M3 - z1 * M4
+    return np.concatenate([s1, s2], axis=-1)
+
+
+def _evaluate_c4(pm, point):
+    """A matrix of classical polynomials in the C4 letters at ``point`` =
+    (z1, z2, z3, z4)."""
+    def value(poly):
+        total = 0.0
+        for (word, _, _), v in poly.terms.items():
+            for g in word:
+                assert g.space == C4, g
+                x = point[g.index - 1]
+                v = v * (np.conj(x) if g.conjugated else x)
+            total += v
+        return total
+    return np.array([[value(p) for p in row] for row in pm.entries])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_symbolic_monad_maps_on_the_twistor_line_are_v_batch(k):
+    # The classical sigma and sigma_J of the smash picture, evaluated at the
+    # twistor point (z1, z2, z3, z4) = (1, 0, conj(zeta1), -zeta2), are the
+    # two halves of the numeric monad map, bit for bit; a sign slip in
+    # sigma_(2) of the numeric map is seen.
+    data = solve(k, ClassicalModel(), cfg=SolveConfig(
+        rng_seed=3, tolerance=1e-12 if k == 1 else 1e-10))
+    m, model = build_monad(data), data.model
+    rel = smash_relations(model, 0)
+    sigma, _ = bosonise_monad(m, model, rel)
+    sigma_j = bosonise_j_map(m, model, rel)
+    rng = np.random.default_rng(40 + k)
+    for _ in range(5):
+        zeta1, zeta2 = (complex(*rng.standard_normal(2)) for _ in range(2))
+        point = (1.0, 0.0, np.conj(zeta1), -zeta2)
+        symbolic = np.hstack([_evaluate_c4(sigma, point),
+                              _evaluate_c4(sigma_j, point)])
+        assert np.array_equal(symbolic, _v_batch(m.M, zeta1, zeta2))
+        assert np.max(np.abs(symbolic - _sigma2_sign_mutant(
+            m.M, zeta1, zeta2))) > 0.1
 
 
 def test_gauge_w_invariance(solved_k1):

@@ -10,8 +10,7 @@ from ncadhm.hopf_twist import (
 )
 from ncadhm.monad import (
     ADHMData, MonadMatrices, PolyMatrix, ShapeError, adhm_residual,
-    bosonise_monad, build_monad, monad_residual, tilde_coinvariance_residual,
-    tilde_subalgebra_check,
+    bosonise_monad, build_monad, monad_residual, tilde_subalgebra_check,
 )
 from ncadhm.adhm_solver import SolveConfig, solve
 from ncadhm.instanton import symbolic_projector_checks
@@ -252,12 +251,6 @@ def test_tilde_subalgebra(model):
     assert rep["smash_isomorphism"].residual < 1e-12
 
 
-def test_tilde_coinvariance():
-    for model in (MoyalModel(0.3, 1.0, 2.0), ToricModel(0.25),
-                  ClassicalModel()):
-        assert tilde_coinvariance_residual(model) < 1e-14
-
-
 # The tilde expansions M~^j = sum c M^s (x) h as they were written by hand
 # before tilde_words was derived from tilde_decompose: a literal oracle.
 TILDE_WORDS_ORACLE = {
@@ -348,9 +341,6 @@ def test_tilde_commutativity_catches_a_decompose_mutant(model, mutant, want,
     assert rep["tilde_commutativity"].residual == pytest.approx(want,
                                                                 rel=1e-12)
     assert rep["smash_isomorphism"].residual == 0.0
-    # a blind spot: tilde_words is derived from the mutant, so the
-    # round trip through tilde_decompose still closes
-    assert tilde_coinvariance_residual(model) == 0.0
 
 
 @pytest.mark.parametrize("model", [MoyalModel(0.2, 1.0, 0.5),
